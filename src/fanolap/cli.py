@@ -21,6 +21,7 @@ from .fano import fano_complex_params, fano_q_dynamic, fano_static_params
 from .fit import fit_fano, format_fit_json, read_trace_csv
 from .model import EnergyGrid, load_model
 from .scan import (
+    _format_columns,
     compare_representations,
     contour,
     figure1,
@@ -32,8 +33,6 @@ from .scan import (
 from .smatrix import Representation
 
 __all__ = ["run", "main"]
-
-_FMT = "%.17g"
 
 
 class _UsageError(Exception):
@@ -141,10 +140,7 @@ def _cmd_qscan(args):
     m = load_model(args.model)
     e = _grid_from_args(args).points()
     q = fano_q_dynamic(m, args.k, e)
-    lines = ["energy,q"]
-    for ei, qi in zip(e, q):
-        lines.append((_FMT + "," + _FMT) % (ei, qi))
-    return [(Path(args.out), "\n".join(lines) + "\n")]
+    return [(Path(args.out), _format_columns("energy,q", e, q))]
 
 
 def _cmd_params(args):
@@ -278,3 +274,7 @@ def run(argv=None):
 
 def main():
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -11,8 +11,10 @@ uses analytic derivatives throughout.
 """
 
 import csv
+import itertools
 import json
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,22 +101,22 @@ def _profile_internal(vec, e):
 
 
 def _jacobian_internal(vec, e):
-    """Model values and derivatives with respect to (q, e0, log gamma,
-    amplitude, offset)."""
-    q, e0, u, a, b = vec
+    """Derivatives of the profile with respect to (q, e0, log gamma,
+    amplitude, offset), one column each."""
+    q, e0, u, a, _ = vec
     gamma = math.exp(u)
     eps = 2.0 * (e - e0) / gamma
     denom = eps * eps + 1.0
     qe = q + eps
-    f = a * qe * qe / denom + b
-    dfdq = 2.0 * a * qe / denom
+    jac = np.empty((e.size, 5))
+    jac[:, 0] = 2.0 * a * qe / denom
     # d f/d eps, then chain rule: d eps/d e0 = -2/gamma, d f/d log(gamma) = -eps*dfdeps
     dfdeps = 2.0 * a * qe * (1.0 - q * eps) / (denom * denom)
-    dfde0 = dfdeps * (-2.0 / gamma)
-    dfdu = dfdeps * (-eps)
-    dfda = qe * qe / denom
-    dfdb = np.ones_like(e)
-    return f, np.column_stack([dfdq, dfde0, dfdu, dfda, dfdb])
+    jac[:, 1] = dfdeps * (-2.0 / gamma)
+    jac[:, 2] = dfdeps * (-eps)
+    jac[:, 3] = qe * qe / denom
+    jac[:, 4] = 1.0
+    return jac
 
 
 def initial_guess(trace):
@@ -132,7 +134,8 @@ def initial_guess(trace):
         raise InsufficientData("initial_guess needs at least 5 points, got %d" % e.size)
     offset = float(np.median(y))
     dev = y - offset
-    i0 = int(np.argmax(np.abs(dev)))
+    absdev = np.abs(dev)
+    i0 = int(np.argmax(absdev))
     e0 = float(e[i0])
     peak = float(dev[i0])
     span = float(e[-1] - e[0])
@@ -140,16 +143,11 @@ def initial_guess(trace):
     if abs(peak) <= 1e-12 * max(1.0, float(np.max(np.abs(y)))):
         return FanoProfileModel(0.0, e0, span / 10.0, 0.0, offset)
     half = 0.5 * abs(peak)
-    left = None
-    for i in range(i0 - 1, -1, -1):
-        if abs(dev[i]) < half:
-            left = float(e[i])
-            break
-    right = None
-    for i in range(i0 + 1, e.size):
-        if abs(dev[i]) < half:
-            right = float(e[i])
-            break
+    # nearest points on either side of e0 where the deviation drops below half
+    below = np.flatnonzero(absdev < half)
+    k = int(np.searchsorted(below, i0))
+    left = float(e[below[k - 1]]) if k > 0 else None
+    right = float(e[below[k]]) if k < below.size else None
     if left is not None and right is not None:
         gamma = right - left
     elif left is not None:
@@ -210,7 +208,7 @@ def fit_fano(trace, guess=None, *, max_iter=200, tol_step=1e-10, tol_grad=1e-12,
     converged = False
     iterations = 0
     while iterations < max_iter:
-        f, jac = _jacobian_internal(p, e)
+        jac = _jacobian_internal(p, e)
         grad = jac.T @ r
         if float(np.max(np.abs(2.0 * grad))) < tol_grad:
             converged = True
@@ -247,39 +245,97 @@ def fit_fano(trace, guess=None, *, max_iter=200, tol_step=1e-10, tol_grad=1e-12,
     model = _unpack(p)
     n = e.size
     residual_norm = math.sqrt(cost / n)
-    _, jac = _jacobian_internal(p, e)
-    jac_ext = jac.copy()
-    jac_ext[:, 2] = jac[:, 2] / model.gamma
+    jac = _jacobian_internal(p, e)
+    jac[:, 2] /= model.gamma
     dof = n - 5
     variance = cost / dof if dof > 0 else float("inf")
-    cov = variance * np.linalg.pinv(jac_ext.T @ jac_ext)
+    cov = variance * np.linalg.pinv(jac.T @ jac)
     uncertainties = tuple(math.sqrt(max(v, 0.0)) for v in np.diag(cov))
     return FanoFitResult(model, residual_norm, iterations, converged, uncertainties)
 
 
+# The fast parser strips these ASCII information separators from around a
+# number; float(), and so the dialect, does not.
+_PARSER_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
+
+
+def _lines(text, chunk=1 << 16):
+    """text.split("\\n") a chunk at a time, so that no second copy of the
+    whole file is alive at once."""
+    def pieces(start=0):
+        while start <= len(text):
+            end = text.find("\n", start + chunk)
+            if end < 0:
+                end = len(text)
+            yield text[start:end].split("\n")
+            start = end + 1
+    return itertools.chain.from_iterable(pieces())
+
+
 def read_trace_csv(path):
-    """Read an 'energy,sigma' CSV into a trace.  Unreadable files raise
-    OSError; malformed content raises ValidationError."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or [c.strip() for c in rows[0]] != ["energy", "sigma"]:
-        raise ValidationError("trace file %s must start with header 'energy,sigma'" % path)
-    energies = []
-    sigma = []
-    for i, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        if len(row) != 2:
-            raise ValidationError("trace file %s line %d: expected 2 columns" % (path, i))
+    """Read an 'energy,sigma' CSV into a trace.
+
+    The dialect: a header line 'energy,sigma', then one comma-separated
+    pair per line of ASCII numbers as float() reads them, without '_'
+    separators; fields may carry surrounding whitespace and double quotes,
+    blank lines are skipped, and there are no comments.  Unreadable files
+    raise OSError; malformed content raises ValidationError naming the
+    first bad line.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
         try:
-            energies.append(float(row[0]))
-            sigma.append(float(row[1]))
-        except ValueError as err:
-            raise ValidationError("trace file %s line %d: %s" % (path, i, err)) from err
+            text = fh.read()
+        except UnicodeDecodeError as err:
+            raise ValidationError("trace file %s: %s" % (path, err)) from err
+    lines = _lines(text)
+    rows = csv.reader(lines)
     try:
-        return CrossSectionTrace(np.array(energies), np.array(sigma), TraceMeta("csv"))
+        header = next(rows, None)
+    except csv.Error as err:
+        raise ValidationError("trace file %s line %d: %s" % (path, rows.line_num, err)) from err
+    if header is None or [c.strip() for c in header] != ["energy", "sigma"]:
+        raise ValidationError("trace file %s must start with header 'energy,sigma'" % path)
+    body = 0
+    for _ in range(rows.line_num):
+        body = text.find("\n", body) + 1 or len(text)
+    data = None
+    if not any(text.find(c, body) >= 0 for c in _PARSER_ONLY_SPACE):
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # header-only file
+                # the csv reader took just the header's lines from `lines`
+                data = np.loadtxt(lines, delimiter=",", ndmin=2, comments=None, quotechar='"')
+        except ValueError:
+            pass
+    if data is None or (data.size and data.shape[1] != 2):
+        raise ValidationError(_bad_line(path, text) or "trace file %s: malformed body" % path)
+    energies, sigma = data.reshape(-1, 2).T  # a header-only file parses as (0, 1)
+    try:
+        return CrossSectionTrace(energies, sigma, TraceMeta("csv"))
     except ValidationError as err:
         raise ValidationError("trace file %s: %s" % (path, err)) from err
+
+
+def _bad_line(path, text):
+    """Message naming the first malformed line after the header, or None.
+    Only diagnoses a body the fast parser rejected; never returns data."""
+    rows = csv.reader(_lines(text))
+    try:
+        next(rows)
+        for row in rows:
+            if not row:
+                continue
+            if len(row) != 2:
+                return "trace file %s line %d: expected 2 columns" % (path, rows.line_num)
+            for field in row:
+                float(field)
+                # float() also takes digit separators and non-ASCII digits
+                stripped = field.strip()
+                if "_" in stripped or not stripped.isascii():
+                    raise ValueError("could not convert string to float: %r" % field)
+    except (ValueError, csv.Error) as err:
+        return "trace file %s line %d: %s" % (path, rows.line_num, err)
+    return None
 
 
 def fit_result_to_dict(res):

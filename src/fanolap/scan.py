@@ -283,11 +283,16 @@ def compare_representations(m, g):
     }
 
 
+def _format_columns(header, x, y):
+    """Two-column CSV: the header line, then one 'x,y' line per point."""
+    flat = np.empty(2 * len(x))
+    flat[0::2] = x
+    flat[1::2] = y
+    return header + "\n" + ((_FMT + "," + _FMT + "\n") * len(x)) % tuple(flat.tolist())
+
+
 def format_trace_csv(tr):
-    lines = ["energy,sigma"]
-    for e, s in zip(tr.energies, tr.sigma):
-        lines.append((_FMT + "," + _FMT) % (e, s))
-    return "\n".join(lines) + "\n"
+    return _format_columns("energy,sigma", tr.energies, tr.sigma)
 
 
 def write_trace_csv(tr, path):

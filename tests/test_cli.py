@@ -1,18 +1,25 @@
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fanolap
 from fanolap import (
+    EnergyGrid,
     FanoProfileModel,
     Resonance,
     ScatteringModel,
+    fano_q_dynamic,
     predict,
     save_model,
 )
 from fanolap.cli import run
+from fanolap.scan import _format_columns
 
 TWO_RES = ScatteringModel((Resonance(0.0, 1.0), Resonance(1.0, 3.0)))
 
@@ -130,6 +137,21 @@ def test_qscan_regular_values(tmp_path, model_file):
     assert code == 0
     vals = [float(l.split(",")[1]) for l in out.read_text().splitlines()[1:]]
     assert all(math.isfinite(v) for v in vals)
+
+
+def test_qscan_output_is_the_shared_column_writer(tmp_path, model_file):
+    out = tmp_path / "q.csv"
+    code = run(
+        [
+            "qscan", "--model", model_file, "--k", "1",
+            "--emin", "-3", "--emax", "4", "--n", "257",
+            "--out", str(out),
+        ]
+    )
+    assert code == 0
+    e = EnergyGrid(-3.0, 4.0, 257).points()
+    expected = _format_columns("energy,q", e, fano_q_dynamic(TWO_RES, 1, e))
+    assert out.read_bytes() == expected.encode("utf-8")
 
 
 def test_qscan_bad_index(tmp_path, model_file, capsys):
@@ -378,3 +400,32 @@ def test_fig2_failure_leaves_no_partial_files(tmp_path):
     assert code == 2
     # nothing but the blocking directory is left behind
     assert sorted(p.name for p in outdir.iterdir()) == ["fig2_contour.csv"]
+
+
+def _run_module(module, *argv):
+    src = str(Path(fanolap.__file__).resolve().parents[1])
+    path = [src, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    return subprocess.run(
+        [sys.executable, "-m", module, *argv],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
+@pytest.mark.parametrize("module", ["fanolap", "fanolap.cli"])
+def test_python_m_runs_the_cli(tmp_path, model_file, module):
+    out = tmp_path / "params.json"
+    proc = _run_module(module, "params", "--model", model_file, "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(out.read_text())["static"]["q"] == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("module", ["fanolap", "fanolap.cli"])
+def test_python_m_reports_bad_input(tmp_path, module):
+    empty = tmp_path / "empty.json"
+    empty.write_text("")
+    out = tmp_path / "x.json"
+    proc = _run_module(module, "params", "--model", str(empty), "--out", str(out))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("ValidationError: ")
+    assert not out.exists()

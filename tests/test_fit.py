@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -21,7 +22,8 @@ from fanolap import (
     read_trace_csv,
     trace,
 )
-from fanolap.fit import _jacobian_internal, _pack, _profile_internal
+from fanolap.cli import run
+from fanolap.fit import _jacobian_internal, _lines, _pack, _profile_internal
 from fanolap.model import EnergyGrid
 from fanolap.scan import CrossSectionTrace, TraceMeta, format_trace_csv
 
@@ -80,7 +82,7 @@ def test_jacobian_matches_central_differences():
             rng.uniform(-0.5, 0.5),
         )
         x = _pack(p)
-        _, jac = _jacobian_internal(x, e)
+        jac = _jacobian_internal(x, e)
         for j in range(5):
             xp = x.copy()
             xm = x.copy()
@@ -89,6 +91,131 @@ def test_jacobian_matches_central_differences():
             fd = (_profile_internal(xp, e) - _profile_internal(xm, e)) / (2 * step)
             scale = np.maximum(1.0, np.abs(jac[:, j]))
             assert np.max(np.abs(jac[:, j] - fd) / scale) < 1e-5
+
+
+def _reference_jacobian(vec, e):
+    """The closed-form columns, written out one array per derivative."""
+    q, e0, u, a, b = vec
+    gamma = math.exp(u)
+    eps = 2.0 * (e - e0) / gamma
+    denom = eps * eps + 1.0
+    qe = q + eps
+    dfdq = 2.0 * a * qe / denom
+    dfdeps = 2.0 * a * qe * (1.0 - q * eps) / (denom * denom)
+    dfde0 = dfdeps * (-2.0 / gamma)
+    dfdu = dfdeps * (-eps)
+    dfda = qe * qe / denom
+    dfdb = np.ones_like(e)
+    return np.column_stack([dfdq, dfde0, dfdu, dfda, dfdb])
+
+
+def _same_bits(a, b):
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        FanoProfileModel(2.0, 0.0, 1.0, 1.0, 0.1),
+        FanoProfileModel(-3.7, 0.25, 0.013, 2.5, 0.0),
+        FanoProfileModel(0.0, -1.5, 40.0, 0.2, 3.0),
+        FanoProfileModel(1e3, 0.0, 1.0, 4e-6, 0.0),
+        FanoProfileModel(-0.4, 7.0, 2.0, 1e-9, -0.5),
+    ],
+)
+def test_jacobian_bitwise_equals_closed_form_columns(p):
+    e = np.linspace(-10.0, 12.0, 1001)
+    x = _pack(p)
+    jac = _jacobian_internal(x, e)
+    assert jac.flags.c_contiguous
+    assert _same_bits(jac, _reference_jacobian(x, e))
+
+
+def _reference_initial_guess(trace):
+    """initial_guess with the half-width crossings found by scanning outward
+    from e0 point by point."""
+    e = trace.energies
+    y = trace.sigma
+    offset = float(np.median(y))
+    dev = y - offset
+    i0 = int(np.argmax(np.abs(dev)))
+    e0 = float(e[i0])
+    peak = float(dev[i0])
+    span = float(e[-1] - e[0])
+    step = span / (e.size - 1)
+    if abs(peak) <= 1e-12 * max(1.0, float(np.max(np.abs(y)))):
+        return FanoProfileModel(0.0, e0, span / 10.0, 0.0, offset)
+    half = 0.5 * abs(peak)
+    left = None
+    for i in range(i0 - 1, -1, -1):
+        if abs(dev[i]) < half:
+            left = float(e[i])
+            break
+    right = None
+    for i in range(i0 + 1, e.size):
+        if abs(dev[i]) < half:
+            right = float(e[i])
+            break
+    if left is not None and right is not None:
+        gamma = right - left
+    elif left is not None:
+        gamma = 2.0 * (e0 - left)
+    elif right is not None:
+        gamma = 2.0 * (right - e0)
+    else:
+        gamma = span / 10.0
+    gamma = max(gamma, step)
+    window = 2.0 * gamma
+    reach = min(e0 - float(e[0]), float(e[-1]) - e0)
+    if reach > step:
+        window = min(window, reach)
+    right_sum = float(np.sum(dev[(e > e0) & (e <= e0 + window)]))
+    left_sum = float(np.sum(dev[(e < e0) & (e >= e0 - window)]))
+    if peak < 0.0:
+        return FanoProfileModel(0.0, e0, gamma, -peak, offset + peak)
+    sign = 1.0 if right_sum - left_sum >= 0.0 else -1.0
+    amplitude = peak / 3.0
+    return FanoProfileModel(2.0 * sign, e0, gamma, amplitude, offset - amplitude)
+
+
+def _initial_guess_cases():
+    rng = np.random.default_rng(11)
+    cases = []
+    for i in range(12):
+        n = int(rng.integers(5, 400))
+        e = np.sort(rng.uniform(-5.0, 5.0, n))
+        cases.append(("random%d" % i, e, rng.uniform(0.0, 3.0, n)))
+    for i in range(6):
+        p = FanoProfileModel(
+            rng.uniform(-5, 5), rng.uniform(-1, 1), rng.uniform(0.05, 2.0),
+            rng.uniform(0.5, 3.0), rng.uniform(0.0, 1.0),
+        )
+        tr = synth(p, e_span=6.0, n=301, noise_seed=i, noise_amp=0.02)
+        cases.append(("fano%d" % i, tr.energies, tr.sigma))
+    e = np.linspace(-4.0, 4.0, 201)
+    for i, (e0, width) in enumerate(((0.0, 1.0), (0.3, 0.05), (-3.9, 0.5))):
+        p = FanoProfileModel(0.0, e0, width, 2.0, 2.5)
+        cases.append(("dip%d" % i, e, predict(p, e)))
+    # the extremum at an edge leaves no half-crossing on that side
+    cases.append(("no_left", e, np.exp(-(e + 4.0))))
+    cases.append(("no_right", e, np.exp(e - 4.0)))
+    # a broad bump that never falls below half on either side
+    cases.append(("no_side", e, 3.0 - 0.01 * e * e))
+    cases.append(("flat", e, np.full(e.size, 1.7)))
+    # deviations landing exactly on half the peak do not count as crossings
+    grid = np.linspace(-4.0, 4.0, 9)
+    cases.append(("on_half", grid, np.array([0.0, 0.0, 0.0, 1.0, 2.0, 1.0, 0.0, 0.0, 0.0])))
+    return cases
+
+
+@pytest.mark.parametrize(
+    "name,e,y", _initial_guess_cases(), ids=[c[0] for c in _initial_guess_cases()]
+)
+def test_initial_guess_matches_pointwise_scan(name, e, y):
+    tr = CrossSectionTrace(e, y, TraceMeta(name))
+    assert initial_guess(tr) == _reference_initial_guess(tr)
 
 
 def test_initial_guess_needs_five_points():
@@ -279,6 +406,123 @@ def test_read_trace_csv_rejects_bad_number(tmp_path):
 def test_read_trace_csv_missing_file(tmp_path):
     with pytest.raises(OSError):
         read_trace_csv(tmp_path / "absent.csv")
+
+
+def _reference_read(text):
+    """The dialect spelled out with the csv module and float(), one row at
+    a time."""
+    rows = list(csv.reader(text.splitlines()))
+    assert [c.strip() for c in rows[0]] == ["energy", "sigma"]
+    pairs = [[float(v) for v in row] for row in rows[1:] if row]
+    return np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs])
+
+
+_ACCEPTED = {
+    "crlf": "energy,sigma\r\n0,1\r\n0.5,2.25\r\n1e0,3\r\n",
+    "lone_cr": "energy,sigma\r0,1\r0.5,2.25\r",
+    "blank_lines": "energy,sigma\n\n0,1\n\n\n0.5,2.25\n\n",
+    "whitespace": "  energy , sigma\n 0 ,\t1 \n0.5\t, 2.25\n",
+    "quoted": '"energy","sigma"\n"0","1"\n"0.5",2.25\n" 1 " ,"4"\n',
+    "no_final_newline": "energy,sigma\n0,1\n0.5,2.25",
+    "signs_and_exponents": "energy,sigma\n-1.5E+2,+.5\n-0.,1e-310\n3,0\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ACCEPTED))
+def test_read_trace_csv_accepted_dialect(tmp_path, name):
+    text = _ACCEPTED[name]
+    path = tmp_path / "ok.csv"
+    path.write_bytes(text.encode("utf-8"))
+    tr = read_trace_csv(path)
+    energies, sigma = _reference_read(text)
+    assert _same_bits(tr.energies, energies)
+    assert _same_bits(tr.sigma, sigma)
+
+
+# (file body, line the message must name; None when no line is at fault)
+_REJECTED = {
+    "comment_line": ("energy,sigma\n0,1\n# note\n0.5,2\n", 3),
+    "trailing_comment": ("energy,sigma\n0,1\n0.5,2 # note\n", 3),
+    "one_column": ("energy,sigma\n0,1\n0.5\n", 3),
+    "three_columns": ("energy,sigma\n0,1,2\n0.5,2,3\n", 2),
+    "column_count_changes": ("energy,sigma\n0,1\n0.5,2\n1,2,3\n", 4),
+    "whitespace_only_line": ("energy,sigma\n0,1\n  \n0.5,2\n", 3),
+    "non_number": ("energy,sigma\n0,1\n0.5,oops\n", 3),
+    "empty_field": ("energy,sigma\n0,1\n0.5,\n", 3),
+    "digit_separator": ("energy,sigma\n0,1\n1_000,2\n", 3),
+    "non_ascii_digit": ("energy,sigma\n0,1\n\u0661,2\n", 3),
+    "information_separator": ("energy,sigma\n0,1\n0.5,2\x1c\n", 3),
+    "header_only": ("energy,sigma\n", None),
+    "header_only_no_newline": ("energy,sigma", None),
+    "blank_body": ("energy,sigma\n\n\n", None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_REJECTED))
+def test_read_trace_csv_rejected_dialect(tmp_path, name):
+    text, line = _REJECTED[name]
+    path = tmp_path / "bad.csv"
+    path.write_bytes(text.encode("utf-8"))
+    with pytest.raises(ValidationError) as exc:
+        read_trace_csv(path)
+    msg = str(exc.value)
+    assert msg.startswith("trace file %s" % path)
+    if line is not None:
+        assert "line %d:" % line in msg
+
+
+@pytest.mark.parametrize("name", sorted(_REJECTED))
+def test_cli_fit_rejected_dialect_one_line_diagnostic(tmp_path, capsys, name):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(_REJECTED[name][0].encode("utf-8"))
+    out = tmp_path / "fit.json"
+    assert run(["fit", "--data", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ValidationError: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", ["", "\n", "a", "a\n", "ab\ncd", "ab\n\ncd\n", "\n\na\nbc\n\n"])
+def test_lines_is_split_at_every_chunk_size(text):
+    for chunk in range(1, len(text) + 3):
+        assert list(_lines(text, chunk)) == text.split("\n")
+
+
+def test_read_trace_csv_names_late_bad_line(tmp_path):
+    lines = ["energy,sigma"] + ["%d,1" % i for i in range(10000)] + ["10000,1,2"]
+    path = tmp_path / "late.csv"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValidationError) as exc:
+        read_trace_csv(path)
+    assert "line 10002: expected 2 columns" in str(exc.value)
+
+
+def test_read_trace_csv_rejects_invalid_utf8(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"energy,sigma\n0,1\n0.5,\xff\n")
+    with pytest.raises(ValidationError):
+        read_trace_csv(path)
+
+
+def test_read_trace_csv_bitwise_equals_float(tmp_path):
+    rng = np.random.default_rng(2024)
+    bits = rng.integers(0, 0x7FF0000000000000, 4000, dtype=np.int64)
+    vals = bits.view(np.float64)  # every finite non-negative double is reachable
+    energies = np.unique(np.concatenate([vals, -vals]))[:3000]
+    sigma = rng.permutation(vals)[: energies.size]
+    sigma[:4] = (5e-324, 2.2250738585072011e-308, 1.7976931348623157e308, 0.0)
+    lines = ["energy,sigma"]
+    for i, (a, b) in enumerate(zip(energies.tolist(), sigma.tolist())):
+        lines.append("%.17g,%r" % (a, b) if i % 2 else "%r,%.17g" % (a, b))
+    text = "\n".join(lines) + "\n"
+    path = tmp_path / "bits.csv"
+    path.write_text(text)
+    tr = read_trace_csv(path)
+    ref_e, ref_s = _reference_read(text)
+    assert _same_bits(tr.energies, ref_e) and _same_bits(tr.energies, energies)
+    assert _same_bits(tr.sigma, ref_s) and _same_bits(tr.sigma, sigma)
 
 
 def test_fit_result_serialization():

@@ -25,6 +25,7 @@ from fanolap import (
     write_contour_csv,
     write_trace_csv,
 )
+from fanolap.scan import _format_columns
 
 TWO_RES = ScatteringModel((Resonance(0.0, 1.0), Resonance(2.0, 1.0)))
 
@@ -268,6 +269,16 @@ def test_trace_csv_format(tmp_path):
     path = tmp_path / "t.csv"
     write_trace_csv(tr, path)
     assert path.read_text() == text
+
+
+def test_column_writer_matches_line_by_line_format():
+    rng = np.random.default_rng(3)
+    x = np.sort(rng.uniform(-1e3, 1e3, 500))
+    y = rng.standard_normal(500) * 10.0 ** rng.integers(-300, 300, 500)
+    y[:6] = (np.inf, -np.inf, np.nan, -0.0, 5e-324, 0.1)
+    lines = ["energy,q"] + ["%.17g,%.17g" % (a, b) for a, b in zip(x, y)]
+    assert _format_columns("energy,q", x, y) == "\n".join(lines) + "\n"
+    assert _format_columns("energy,q", x[:0], y[:0]) == "energy,q\n"
 
 
 def test_contour_csv_format(tmp_path):
