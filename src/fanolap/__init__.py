@@ -48,7 +48,6 @@ from .model import (
     complex_energy,
     epsilon,
     load_model,
-    make_resonance,
     model_from_dict,
     model_to_dict,
     resonance_phase,

@@ -7,6 +7,7 @@ usage errors, 2 I/O errors.
 """
 
 import argparse
+import dataclasses
 import errno
 import json
 import os
@@ -146,16 +147,7 @@ def _cmd_qscan(args):
 def _cmd_params(args):
     m = load_model(args.model)
     p = fano_static_params(m)
-    body = {
-        "static": {
-            "q": p.q,
-            "a1": p.a1,
-            "a2": p.a2,
-            "sigma_a1": p.sigma_a1,
-            "sigma_a2": p.sigma_a2,
-            "sigma_b": p.sigma_b,
-        }
-    }
+    body = {"static": dataclasses.asdict(p)}
     try:
         cp = fano_complex_params(p)
     except NegativeAkError as err:
@@ -190,16 +182,9 @@ def _cmd_fig2(args):
     result = figure2(_optional_grid(args), args.ndelta)
     outdir = Path(args.out)
     outputs = []
-    for label, variant in (("a", result.window), ("b", result.breit_wigner)):
-        outputs.append(
-            (outdir / ("fig2%s_delta0.csv" % label), format_trace_csv(variant.at_delta0))
-        )
-        outputs.append(
-            (outdir / ("fig2%s_minus.csv" % label), format_trace_csv(variant.minus))
-        )
-        outputs.append(
-            (outdir / ("fig2%s_plus.csv" % label), format_trace_csv(variant.plus))
-        )
+    for label, v in (("a", result.window), ("b", result.breit_wigner)):
+        for part, tr in (("delta0", v.at_delta0), ("minus", v.minus), ("plus", v.plus)):
+            outputs.append((outdir / ("fig2%s_%s.csv" % (label, part)), format_trace_csv(tr)))
     outputs.append((outdir / "fig2_contour.csv", format_contour_csv(result.contour)))
     return outputs
 
@@ -266,6 +251,9 @@ def run(argv=None):
     except OSError as err:
         print("io error: %s" % err, file=sys.stderr)
         return 2
+    except MemoryError:
+        print("error: out of memory; use a smaller grid (--n, --ndelta)", file=sys.stderr)
+        return 1
     except FanolapError as err:
         print("%s: %s" % (type(err).__name__, err), file=sys.stderr)
         return 1

@@ -26,7 +26,6 @@ class NegativeAkError(FanolapError):
     def __init__(self, a1, a2):
         self.a1 = float(a1)
         self.a2 = float(a2)
-        self.offending = tuple(v for v in (self.a1, self.a2) if v < 0.0)
         super().__init__(
             "A values must be non-negative to form complex q parameters, "
             "got a1=%r, a2=%r" % (self.a1, self.a2)

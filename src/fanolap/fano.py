@@ -18,14 +18,13 @@ import numpy as np
 
 from ._util import scalarize
 from .errors import (
-    DoublePoleSingularity,
     EqualWidthsSingularity,
     NegativeAkError,
     NoFiniteSolution,
     ValidationError,
 )
-from .model import _require_two_zero_delta, complex_energy, epsilon
-from .smatrix import DOUBLE_POLE_RTOL
+from .model import _eps, _require_two_zero_delta, _two_resonances, epsilon
+from .smatrix import _check_not_degenerate, _double_pole_args
 
 __all__ = [
     "FanoStaticParams",
@@ -109,7 +108,7 @@ def _interfering_phase(m, k, energy):
     for index, r in enumerate(m.resonances):
         if index == k:
             continue
-        eps = 2.0 * (e - r.position) / r.width
+        eps = _eps(e, r.position, r.width)
         z = z * ((eps - 1j) / np.sqrt(eps * eps + 1.0))
     return z.real, z.imag
 
@@ -157,15 +156,9 @@ def fano_static_params(m):
     A_k = (G_k/G_l)*(q^2 + 1) + 2*(1 - q^2); the partial weights are
     sigma_ak = 4*G_l/((G_k - G_l)*(q^2 + 1)) and sigma_b = 4/(q^2 + 1).
     """
-    _require_two_zero_delta(m, "fano_static_params")
-    r1, r2 = m.resonances
-    sep = abs(complex_energy(r1) - complex_energy(r2))
-    wmax = max(r1.width, r2.width)
-    if sep < DOUBLE_POLE_RTOL * wmax:
-        raise DoublePoleSingularity(
-            "fano_static_params: pole separation %r is below tolerance" % sep
-        )
-    if abs(r1.width - r2.width) < EQUAL_WIDTHS_RTOL * wmax:
+    r1, r2 = _require_two_zero_delta(m, "fano_static_params")
+    _check_not_degenerate(m, "fano_static_params")
+    if abs(r1.width - r2.width) < EQUAL_WIDTHS_RTOL * max(r1.width, r2.width):
         raise EqualWidthsSingularity(
             "widths %r and %r are equal within tolerance, q diverges"
             % (r1.width, r2.width)
@@ -187,10 +180,9 @@ def fano_cross_section_static(p, m, energy):
 
     Equals the product-form |1 - S|^2 for the model the parameters came from.
     """
-    if len(m.resonances) != 2:
-        raise ValidationError("fano_cross_section_static needs a two-resonance model")
-    e1 = np.asarray(epsilon(m.resonances[0], energy))
-    e2 = np.asarray(epsilon(m.resonances[1], energy))
+    r1, r2 = _two_resonances(m, "fano_cross_section_static")
+    e1 = np.asarray(epsilon(r1, energy))
+    e2 = np.asarray(epsilon(r2, energy))
     sigma = (
         p.sigma_a1 * ((p.q + e1) ** 2 + p.a1) / (e1 * e1 + 1.0)
         + p.sigma_a2 * ((p.q + e2) ** 2 + p.a2) / (e2 * e2 + 1.0)
@@ -216,22 +208,15 @@ def fano_cross_section_complex(p, cp, m, energy):
     The squared modulus is evaluated on the complex numbers themselves, so
     this is an independent route to fano_cross_section_static.
     """
-    if len(m.resonances) != 2:
-        raise ValidationError("fano_cross_section_complex needs a two-resonance model")
-    e1 = np.asarray(epsilon(m.resonances[0], energy))
-    e2 = np.asarray(epsilon(m.resonances[1], energy))
+    r1, r2 = _two_resonances(m, "fano_cross_section_complex")
+    e1 = np.asarray(epsilon(r1, energy))
+    e2 = np.asarray(epsilon(r2, energy))
     sigma = (
         p.sigma_a1 * np.abs(cp.q1 + e1) ** 2 / (e1 * e1 + 1.0)
         + p.sigma_a2 * np.abs(cp.q2 + e2) ** 2 / (e2 * e2 + 1.0)
         + p.sigma_b
     )
     return scalarize(sigma, energy)
-
-
-def _two_resonances(m, context):
-    if len(m.resonances) != 2:
-        raise ValidationError("%s needs exactly two resonances" % context)
-    return m.resonances
 
 
 def window_energy(m):
@@ -281,15 +266,8 @@ def double_pole_fano(e_d, gamma_d, delta, energy):
     cos(delta) is exactly zero, a value of order 1e16 at float(pi/2).
     Returns the pair (q_d, sigma).
     """
-    e_d = float(e_d)
-    gamma_d = float(gamma_d)
-    delta = float(delta)
-    if not (math.isfinite(gamma_d) and gamma_d > 0.0):
-        raise ValidationError("gamma_d must be finite and > 0, got %r" % gamma_d)
-    if not (math.isfinite(e_d) and math.isfinite(delta)):
-        raise ValidationError("e_d and delta must be finite")
-    e = np.asarray(energy, dtype=float)
-    eps = 2.0 * (e - e_d) / gamma_d
+    e_d, gamma_d, delta = _double_pole_args(e_d, gamma_d, delta)
+    eps = _eps(np.asarray(energy, dtype=float), e_d, gamma_d)
     s = math.sin(delta)
     c = math.cos(delta)
     with np.errstate(divide="ignore", invalid="ignore"):

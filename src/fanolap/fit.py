@@ -21,6 +21,7 @@ import numpy as np
 
 from ._util import scalarize
 from .errors import BadInitialGuess, InsufficientData, ValidationError
+from .model import _eps
 from .scan import CrossSectionTrace, TraceMeta
 
 __all__ = [
@@ -74,12 +75,16 @@ class FanoFitResult:
     parameter_uncertainties: tuple
 
 
+def _profile(q, e0, gamma, a, b, e):
+    eps = _eps(e, e0, gamma)
+    qe = q + eps
+    return a * qe * qe / (eps * eps + 1.0) + b
+
+
 def predict(p, energy):
     """Evaluate the profile at the given energies."""
     e = np.asarray(energy, dtype=float)
-    eps = 2.0 * (e - p.e0) / p.gamma
-    val = p.amplitude * (p.q + eps) ** 2 / (eps * eps + 1.0) + p.offset
-    return scalarize(val, energy)
+    return scalarize(_profile(p.q, p.e0, p.gamma, p.amplitude, p.offset, e), energy)
 
 
 def _pack(p):
@@ -93,11 +98,7 @@ def _unpack(vec):
 
 def _profile_internal(vec, e):
     q, e0, u, a, b = vec
-    gamma = math.exp(u)
-    eps = 2.0 * (e - e0) / gamma
-    denom = eps * eps + 1.0
-    qe = q + eps
-    return a * qe * qe / denom + b
+    return _profile(q, e0, math.exp(u), a, b, e)
 
 
 def _jacobian_internal(vec, e):
@@ -105,7 +106,7 @@ def _jacobian_internal(vec, e):
     amplitude, offset), one column each."""
     q, e0, u, a, _ = vec
     gamma = math.exp(u)
-    eps = 2.0 * (e - e0) / gamma
+    eps = _eps(e, e0, gamma)
     denom = eps * eps + 1.0
     qe = q + eps
     jac = np.empty((e.size, 5))

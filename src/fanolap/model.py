@@ -19,7 +19,6 @@ __all__ = [
     "Resonance",
     "ScatteringModel",
     "EnergyGrid",
-    "make_resonance",
     "complex_energy",
     "epsilon",
     "resonance_phase",
@@ -92,20 +91,19 @@ class EnergyGrid:
         return np.linspace(self.e_min, self.e_max, self.n_points)
 
 
-def make_resonance(position, width):
-    """Validated constructor for a resonance."""
-    return Resonance(position, width)
-
-
 def complex_energy(r):
     """Pole location in the lower half plane, position - i*width/2."""
     return complex(r.position, -0.5 * r.width)
 
 
+def _eps(e, position, width):
+    """Reduced energy 2*(e - position)/width of a float array or a float."""
+    return 2.0 * (e - position) / width
+
+
 def epsilon(r, energy):
     """Reduced energy 2*(E - position)/width measured from the resonance."""
-    e = np.asarray(energy, dtype=float)
-    return scalarize(2.0 * (e - r.position) / r.width, energy)
+    return scalarize(_eps(np.asarray(energy, dtype=float), r.position, r.width), energy)
 
 
 def resonance_phase(r, energy):
@@ -114,21 +112,26 @@ def resonance_phase(r, energy):
     The arccot branch is taken on (0, pi), i.e. arccot(x) = pi/2 - arctan(x),
     so the phase passes -pi/2 exactly at the resonance position.
     """
-    e = np.asarray(energy, dtype=float)
-    eps = 2.0 * (e - r.position) / r.width
+    eps = _eps(np.asarray(energy, dtype=float), r.position, r.width)
     return scalarize(np.arctan(eps) - 0.5 * np.pi, energy)
 
 
-def _require_two_zero_delta(m, context):
-    """Shared precondition of the two-resonance zero-background forms."""
+def _two_resonances(m, context):
     if len(m.resonances) != 2:
         raise ValidationError(
             "%s needs exactly two resonances, got %d" % (context, len(m.resonances))
         )
+    return m.resonances
+
+
+def _require_two_zero_delta(m, context):
+    """Shared precondition of the two-resonance zero-background forms."""
+    resonances = _two_resonances(m, context)
     if m.delta != 0.0:
         raise ValidationError(
             "%s is defined for zero background phase, got delta=%r" % (context, m.delta)
         )
+    return resonances
 
 
 def model_to_dict(m):
@@ -149,10 +152,9 @@ def model_from_dict(data):
     fields are tolerated."""
     if not isinstance(data, dict):
         raise ValidationError("model data must be a JSON object, got %r" % type(data).__name__)
-    if "resonances" not in data:
-        raise ValidationError("model data is missing field 'resonances'")
-    if "delta" not in data:
-        raise ValidationError("model data is missing field 'delta'")
+    for field in ("resonances", "delta"):
+        if field not in data:
+            raise ValidationError("model data is missing field %r" % field)
     entries = data["resonances"]
     if not isinstance(entries, list):
         raise ValidationError("field 'resonances' must be a list")
@@ -160,10 +162,9 @@ def model_from_dict(data):
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict):
             raise ValidationError("resonance %d must be an object, got %r" % (i, entry))
-        if "position" not in entry:
-            raise ValidationError("resonance %d is missing field 'position'" % i)
-        if "width" not in entry:
-            raise ValidationError("resonance %d is missing field 'width'" % i)
+        for field in ("position", "width"):
+            if field not in entry:
+                raise ValidationError("resonance %d is missing field %r" % (i, field))
         resonances.append(
             Resonance(
                 _require_number(entry["position"], "position"),

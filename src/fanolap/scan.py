@@ -21,6 +21,7 @@ from .model import (
 )
 from .smatrix import (
     Representation,
+    _double_pole_args,
     cross_section,
     cross_section_noninteracting,
     s_double_pole,
@@ -82,10 +83,9 @@ class CrossSectionTrace:
             raise ValidationError("energies must be strictly increasing")
         if np.any(s < 0.0):
             raise ValidationError("cross sections are non-negative")
-        e.setflags(write=False)
-        s.setflags(write=False)
-        object.__setattr__(self, "energies", e)
-        object.__setattr__(self, "sigma", s)
+        for name, arr in (("energies", e), ("sigma", s)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,11 +108,9 @@ class ContourGrid:
             raise ValidationError("contour values must be finite")
         if np.any(s < 0.0) or np.any(s > 4.0 + UNITARITY_SLACK):
             raise ValidationError("contour entries must lie in [0, 4]")
-        for arr in (e, d, s):
+        for name, arr in (("energies", e), ("deltas", d), ("sigma", s)):
             arr.setflags(write=False)
-        object.__setattr__(self, "energies", e)
-        object.__setattr__(self, "deltas", d)
-        object.__setattr__(self, "sigma", s)
+            object.__setattr__(self, name, arr)
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,9 +191,7 @@ _FIG1_DELTAS = (0.0, 0.25 * math.pi, 0.5 * math.pi, 0.75 * math.pi)
 def figure1(gamma_d, g=None):
     """Degenerate pole at zero: full curve against the incoherent reference
     at background phases 0, pi/4, pi/2 and 3*pi/4."""
-    gamma_d = float(gamma_d)
-    if not (math.isfinite(gamma_d) and gamma_d > 0.0):
-        raise ValidationError("gamma_d must be finite and > 0, got %r" % gamma_d)
+    _, gamma_d, _ = _double_pole_args(0.0, gamma_d, 0.0)
     if g is None:
         g = EnergyGrid(-5.0 * gamma_d, 5.0 * gamma_d, 1001)
     e = g.points()
@@ -283,12 +279,12 @@ def compare_representations(m, g):
     }
 
 
-def _format_columns(header, x, y):
-    """Two-column CSV: the header line, then one 'x,y' line per point."""
-    flat = np.empty(2 * len(x))
-    flat[0::2] = x
-    flat[1::2] = y
-    return header + "\n" + ((_FMT + "," + _FMT + "\n") * len(x)) % tuple(flat.tolist())
+def _format_columns(header, *columns):
+    """The header line, then one CSV line per row of the columns side by
+    side (a 2-d block adds one field per block column), in one %-format."""
+    block = np.column_stack(columns)
+    line = ",".join([_FMT] * block.shape[1]) + "\n"
+    return header + "\n" + (line * len(block)) % tuple(block.ravel().tolist())
 
 
 def format_trace_csv(tr):
@@ -301,10 +297,8 @@ def write_trace_csv(tr, path):
 
 
 def format_contour_csv(cg):
-    lines = ["," + ",".join(_FMT % e for e in cg.energies)]
-    for d, row in zip(cg.deltas, cg.sigma):
-        lines.append(_FMT % d + "," + ",".join(_FMT % v for v in row))
-    return "\n".join(lines) + "\n"
+    header = "," + ",".join(_FMT % e for e in cg.energies)
+    return _format_columns(header, cg.deltas, cg.sigma)
 
 
 def write_contour_csv(cg, path):

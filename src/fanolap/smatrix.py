@@ -90,9 +90,8 @@ def coupling_w_static(m):
     pole expansion built from them matches that form identically.  They
     diverge like 1/separation as the two poles coalesce.
     """
-    _require_two_zero_delta(m, "coupling_w_static")
+    r1, r2 = _require_two_zero_delta(m, "coupling_w_static")
     _check_not_degenerate(m, "coupling_w_static")
-    r1, r2 = m.resonances
     ce1, ce2 = complex_energy(r1), complex_energy(r2)
     w1 = r1.width * (1.0 - 1j * r2.width / (ce1 - ce2))
     w2 = r2.width * (1.0 - 1j * r1.width / (ce2 - ce1))
@@ -110,11 +109,10 @@ def coupling_w_dynamic(m, energy):
     Smooth in E and finite for any pole separation, including a degenerate
     pair; the denominator keeps a positive imaginary part on the real axis.
     """
-    _require_two_zero_delta(m, "coupling_w_dynamic")
+    r1, r2 = _require_two_zero_delta(m, "coupling_w_dynamic")
     e = float(energy)
     if not math.isfinite(e):
         raise ValidationError("energy must be finite, got %r" % energy)
-    r1, r2 = m.resonances
     w1, w2 = _w_dynamic_raw(
         r1.width, r2.width, complex_energy(r1), complex_energy(r2), e
     )
@@ -129,9 +127,8 @@ def s_pole(m, energy, rep):
     """
     if rep not in (Representation.POLES_STATIC, Representation.POLES_DYNAMIC):
         raise ValidationError("s_pole supports the pole representations, got %r" % (rep,))
-    _require_two_zero_delta(m, "s_pole")
+    r1, r2 = _require_two_zero_delta(m, "s_pole")
     e = np.asarray(energy, dtype=float)
-    r1, r2 = m.resonances
     ce1, ce2 = complex_energy(r1), complex_energy(r2)
     if rep is Representation.POLES_STATIC:
         pair = coupling_w_static(m)
@@ -142,6 +139,18 @@ def s_pole(m, energy, rep):
     return scalarize(s, energy, complex)
 
 
+def _double_pole_args(e_d, gamma_d, delta):
+    """Validated floats (e_d, gamma_d, delta) of a degenerate pole."""
+    e_d = float(e_d)
+    gamma_d = float(gamma_d)
+    delta = float(delta)
+    if not (math.isfinite(gamma_d) and gamma_d > 0.0):
+        raise ValidationError("gamma_d must be finite and > 0, got %r" % gamma_d)
+    if not (math.isfinite(e_d) and math.isfinite(delta)):
+        raise ValidationError("e_d and delta must be finite")
+    return e_d, gamma_d, delta
+
+
 def s_double_pole(e_d, gamma_d, delta, energy):
     """Closed form at a degenerate pole of strength gamma_d at e_d:
 
@@ -150,13 +159,7 @@ def s_double_pole(e_d, gamma_d, delta, energy):
     Equals the unitary product form with the same pole counted twice, so it
     stays exactly unimodular for real E.
     """
-    e_d = float(e_d)
-    gamma_d = float(gamma_d)
-    delta = float(delta)
-    if not (math.isfinite(gamma_d) and gamma_d > 0.0):
-        raise ValidationError("gamma_d must be finite and > 0, got %r" % gamma_d)
-    if not (math.isfinite(e_d) and math.isfinite(delta)):
-        raise ValidationError("e_d and delta must be finite")
+    e_d, gamma_d, delta = _double_pole_args(e_d, gamma_d, delta)
     e = np.asarray(energy, dtype=float)
     d = e - e_d + 0.5j * gamma_d
     g = gamma_d / d

@@ -271,6 +271,21 @@ def test_criterion_8_double_pole_limit():
     )
 
 
+def test_double_pole_convergence_order():
+    # criterion 8's setting, checked for the order it actually has: the
+    # log-log slope of the deviation against the separation is 2
+    gamma = 1.0
+    e = np.linspace(-5.0, 5.0, 4001)
+    target = s_double_pole(0.0, gamma, 0.0, e)
+    seps = np.array([1e-2, 1e-3, 1e-4])
+    errs = []
+    for sep in seps:
+        m = ScatteringModel((Resonance(-sep / 2.0, gamma), Resonance(sep / 2.0, gamma)))
+        errs.append(np.max(np.abs(s_pole(m, e, Representation.POLES_DYNAMIC) - target)))
+    slopes = np.diff(np.log(errs)) / np.diff(np.log(seps))
+    assert np.all(np.abs(slopes - 2.0) < 0.05), slopes
+
+
 def test_criterion_9_fit_recovery():
     start = time.perf_counter()
     rng = np.random.default_rng(909)

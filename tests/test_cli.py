@@ -375,6 +375,26 @@ def test_corrupt_model_file_is_validation_error(tmp_path, capsys):
     assert "ValidationError" in capsys.readouterr().err
 
 
+def test_out_of_memory_is_a_one_line_diagnostic(tmp_path, model_file, monkeypatch, capsys):
+    def exhausted(*args):
+        raise MemoryError
+
+    # stands in for an oversized grid without allocating one
+    monkeypatch.setattr(fanolap.cli, "trace", exhausted)
+    out = tmp_path / "t.csv"
+    code = run(
+        [
+            "trace", "--model", model_file,
+            "--emin", "-1", "--emax", "1", "--n", "5", "--out", str(out),
+        ]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_output_path_collision_is_io_error(tmp_path, model_file, capsys):
     blocked = tmp_path / "blocked.csv"
     blocked.mkdir()

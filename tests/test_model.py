@@ -13,18 +13,11 @@ from fanolap import (
     complex_energy,
     epsilon,
     load_model,
-    make_resonance,
     model_from_dict,
     model_to_dict,
     resonance_phase,
     save_model,
 )
-
-
-def test_make_resonance_identity():
-    r = make_resonance(0.0, 1.0)
-    assert r.position == 0.0
-    assert r.width == 1.0
 
 
 def test_narrow_resonance_allowed():

@@ -279,6 +279,10 @@ def test_column_writer_matches_line_by_line_format():
     lines = ["energy,q"] + ["%.17g,%.17g" % (a, b) for a, b in zip(x, y)]
     assert _format_columns("energy,q", x, y) == "\n".join(lines) + "\n"
     assert _format_columns("energy,q", x[:0], y[:0]) == "energy,q\n"
+    # a 2-d block adds one field per block column, as in the contour rows
+    block = y[:60].reshape(6, 10)
+    rows = ["h"] + [",".join("%.17g" % v for v in (a, *r)) for a, r in zip(x, block)]
+    assert _format_columns("h", x[:6], block) == "\n".join(rows) + "\n"
 
 
 def test_contour_csv_format(tmp_path):
