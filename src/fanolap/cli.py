@@ -8,18 +8,15 @@ usage errors, 2 I/O errors.
 
 import argparse
 import dataclasses
-import errno
-import json
-import os
 import sys
-import tempfile
 from pathlib import Path
 
 import numpy as np
 
+from ._util import _json_text, _write_all
 from .errors import FanolapError, NegativeAkError
 from .fano import fano_complex_params, fano_q_dynamic, fano_static_params
-from .fit import fit_fano, format_fit_json, read_trace_csv
+from .fit import fit_fano, format_fit_json
 from .model import EnergyGrid, load_model
 from .scan import (
     _format_columns,
@@ -29,6 +26,7 @@ from .scan import (
     figure2,
     format_contour_csv,
     format_trace_csv,
+    read_trace_csv,
     trace,
 )
 from .smatrix import Representation
@@ -134,38 +132,36 @@ def _build_parser():
 def _cmd_trace(args):
     m = load_model(args.model)
     tr = trace(m, _grid_from_args(args), Representation(args.repr))
-    return [(Path(args.out), format_trace_csv(tr))]
+    return [(args.out, format_trace_csv(tr))]
 
 
 def _cmd_qscan(args):
     m = load_model(args.model)
     e = _grid_from_args(args).points()
     q = fano_q_dynamic(m, args.k, e)
-    return [(Path(args.out), _format_columns("energy,q", e, q))]
+    return [(args.out, _format_columns("energy,q", e, q))]
 
 
 def _cmd_params(args):
     m = load_model(args.model)
     p = fano_static_params(m)
-    body = {"static": dataclasses.asdict(p)}
+    body = {"static": dataclasses.asdict(p), "complex": None, "complex_error": None}
     try:
         cp = fano_complex_params(p)
     except NegativeAkError as err:
-        body["complex"] = None
         body["complex_error"] = {"type": "NegativeAkError", "a1": err.a1, "a2": err.a2}
     else:
         body["complex"] = {
             "q1": {"re": cp.q1.real, "im": cp.q1.imag},
             "q2": {"re": cp.q2.real, "im": cp.q2.imag},
         }
-        body["complex_error"] = None
-    return [(Path(args.out), json.dumps(body, indent=2, sort_keys=True) + "\n")]
+    return [(args.out, _json_text(body))]
 
 
 def _cmd_contour(args):
     m = load_model(args.model)
     cg = contour(m, _grid_from_args(args), args.delta_min, args.delta_max, args.ndelta)
-    return [(Path(args.out), format_contour_csv(cg))]
+    return [(args.out, format_contour_csv(cg))]
 
 
 def _cmd_fig1(args):
@@ -198,37 +194,13 @@ def _cmd_fit(args):
         tol_grad=args.tol_grad,
         damping_init=args.damping_init,
     )
-    return [(Path(args.out), format_fit_json(res))]
+    return [(args.out, format_fit_json(res))]
 
 
 def _cmd_compare(args):
     m = load_model(args.model)
     report = compare_representations(m, _grid_from_args(args))
-    return [(Path(args.out), json.dumps(report, indent=2, sort_keys=True) + "\n")]
-
-
-def _write_all(outputs):
-    staged = []
-    try:
-        for path, text in outputs:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            if path.is_dir():
-                # catch this before any rename so a multi-file command
-                # either lands completely or not at all
-                raise IsADirectoryError(
-                    errno.EISDIR, "output path is a directory", str(path)
-                )
-            fd, tmp = tempfile.mkstemp(prefix=path.name + ".", dir=str(path.parent))
-            with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
-            staged.append([tmp, path])
-        for entry in staged:
-            os.replace(entry[0], entry[1])
-            entry[0] = None
-    finally:
-        for tmp, _ in staged:
-            if tmp is not None and os.path.exists(tmp):
-                os.unlink(tmp)
+    return [(args.out, _json_text(report))]
 
 
 def run(argv=None):

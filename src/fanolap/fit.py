@@ -10,19 +10,16 @@ internally, which makes gamma > 0 structural rather than a constraint, and
 uses analytic derivatives throughout.
 """
 
-import csv
-import itertools
-import json
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import scalarize
+from ._util import _json_text, scalarize
 from .errors import BadInitialGuess, InsufficientData, ValidationError
 from .model import _eps
-from .scan import CrossSectionTrace, TraceMeta
+# read_trace_csv lives with the trace CSV writer; it stays public here too
+from .scan import read_trace_csv
 
 __all__ = [
     "FanoProfileModel",
@@ -255,90 +252,6 @@ def fit_fano(trace, guess=None, *, max_iter=200, tol_step=1e-10, tol_grad=1e-12,
     return FanoFitResult(model, residual_norm, iterations, converged, uncertainties)
 
 
-# The fast parser strips these ASCII information separators from around a
-# number; float(), and so the dialect, does not.
-_PARSER_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
-
-
-def _lines(text, chunk=1 << 16):
-    """text.split("\\n") a chunk at a time, so that no second copy of the
-    whole file is alive at once."""
-    def pieces(start=0):
-        while start <= len(text):
-            end = text.find("\n", start + chunk)
-            if end < 0:
-                end = len(text)
-            yield text[start:end].split("\n")
-            start = end + 1
-    return itertools.chain.from_iterable(pieces())
-
-
-def read_trace_csv(path):
-    """Read an 'energy,sigma' CSV into a trace.
-
-    The dialect: a header line 'energy,sigma', then one comma-separated
-    pair per line of ASCII numbers as float() reads them, without '_'
-    separators; fields may carry surrounding whitespace and double quotes,
-    blank lines are skipped, and there are no comments.  Unreadable files
-    raise OSError; malformed content raises ValidationError naming the
-    first bad line.
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            text = fh.read()
-        except UnicodeDecodeError as err:
-            raise ValidationError("trace file %s: %s" % (path, err)) from err
-    lines = _lines(text)
-    rows = csv.reader(lines)
-    try:
-        header = next(rows, None)
-    except csv.Error as err:
-        raise ValidationError("trace file %s line %d: %s" % (path, rows.line_num, err)) from err
-    if header is None or [c.strip() for c in header] != ["energy", "sigma"]:
-        raise ValidationError("trace file %s must start with header 'energy,sigma'" % path)
-    body = 0
-    for _ in range(rows.line_num):
-        body = text.find("\n", body) + 1 or len(text)
-    data = None
-    if not any(text.find(c, body) >= 0 for c in _PARSER_ONLY_SPACE):
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)  # header-only file
-                # the csv reader took just the header's lines from `lines`
-                data = np.loadtxt(lines, delimiter=",", ndmin=2, comments=None, quotechar='"')
-        except ValueError:
-            pass
-    if data is None or (data.size and data.shape[1] != 2):
-        raise ValidationError(_bad_line(path, text) or "trace file %s: malformed body" % path)
-    energies, sigma = data.reshape(-1, 2).T  # a header-only file parses as (0, 1)
-    try:
-        return CrossSectionTrace(energies, sigma, TraceMeta("csv"))
-    except ValidationError as err:
-        raise ValidationError("trace file %s: %s" % (path, err)) from err
-
-
-def _bad_line(path, text):
-    """Message naming the first malformed line after the header, or None.
-    Only diagnoses a body the fast parser rejected; never returns data."""
-    rows = csv.reader(_lines(text))
-    try:
-        next(rows)
-        for row in rows:
-            if not row:
-                continue
-            if len(row) != 2:
-                return "trace file %s line %d: expected 2 columns" % (path, rows.line_num)
-            for field in row:
-                float(field)
-                # float() also takes digit separators and non-ASCII digits
-                stripped = field.strip()
-                if "_" in stripped or not stripped.isascii():
-                    raise ValueError("could not convert string to float: %r" % field)
-    except (ValueError, csv.Error) as err:
-        return "trace file %s line %d: %s" % (path, rows.line_num, err)
-    return None
-
-
 def fit_result_to_dict(res):
     return {
         "model": {name: getattr(res.model, name) for name in _PARAM_NAMES},
@@ -350,4 +263,4 @@ def fit_result_to_dict(res):
 
 
 def format_fit_json(res):
-    return json.dumps(fit_result_to_dict(res), indent=2, sort_keys=True) + "\n"
+    return _json_text(fit_result_to_dict(res))

@@ -8,11 +8,12 @@ constant background phase ``delta``.
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import scalarize
+from ._util import _json_text, _write_all, scalarize
 from .errors import ValidationError
 
 __all__ = [
@@ -76,19 +77,28 @@ class EnergyGrid:
     def __post_init__(self):
         object.__setattr__(self, "e_min", float(self.e_min))
         object.__setattr__(self, "e_max", float(self.e_max))
-        object.__setattr__(self, "n_points", int(self.n_points))
         if not (math.isfinite(self.e_min) and math.isfinite(self.e_max)):
             raise ValidationError("grid bounds must be finite")
         if not self.e_min < self.e_max:
             raise ValidationError(
                 "e_min must be < e_max, got %r >= %r" % (self.e_min, self.e_max)
             )
-        if self.n_points < 2:
-            raise ValidationError("n_points must be >= 2, got %r" % self.n_points)
+        object.__setattr__(self, "n_points", _count(self.n_points, "n_points"))
 
     def points(self):
         """Evaluation energies, endpoints included."""
         return np.linspace(self.e_min, self.e_max, self.n_points)
+
+
+def _count(value, field):
+    """A grid count: a Python or numpy integer of at least 2."""
+    try:
+        n = operator.index(value)
+    except TypeError:
+        raise ValidationError("%s must be an integer, got %r" % (field, value)) from None
+    if n < 2:
+        raise ValidationError("%s must be >= 2, got %r" % (field, n))
+    return n
 
 
 def complex_energy(r):
@@ -187,6 +197,4 @@ def load_model(path):
 
 
 def save_model(m, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_dict(m), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_all([(path, _json_text(model_to_dict(m)))])

@@ -1,20 +1,26 @@
 """Grid evaluation of cross sections, reference figures, and representation
-comparison reports, plus the CSV serializations used by the command line.
+comparison reports, plus the CSV dialects used by the command line: the
+trace CSV written and read back, and the contour CSV.
 
 Floats are written with 17 significant digits so every value round-trips
 bit for bit and reruns are byte-identical.
 """
 
+import csv
+import itertools
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._util import _write_all
 from .errors import DoublePoleSingularity, ValidationError
 from .model import (
     EnergyGrid,
     Resonance,
     ScatteringModel,
+    _count,
     _require_two_zero_delta,
     epsilon,
     model_to_dict,
@@ -22,6 +28,7 @@ from .model import (
 from .smatrix import (
     Representation,
     _double_pole_args,
+    _resonant_product,
     cross_section,
     cross_section_noninteracting,
     s_double_pole,
@@ -45,6 +52,7 @@ __all__ = [
     "compare_representations",
     "format_trace_csv",
     "write_trace_csv",
+    "read_trace_csv",
     "format_contour_csv",
     "write_contour_csv",
 ]
@@ -53,6 +61,7 @@ __all__ = [
 UNITARITY_SLACK = 1e-12
 
 _FMT = "%.17g"
+_TRACE_HEADER = "energy,sigma"
 
 
 @dataclass(frozen=True)
@@ -166,22 +175,21 @@ def trace(m, g, rep):
 
 
 def contour(m, g, delta_min, delta_max, n_delta, endpoint=True):
-    """Sweep the background phase over [delta_min, delta_max] row by row."""
+    """Sweep the background phase over [delta_min, delta_max], one row per phase."""
     delta_min = float(delta_min)
     delta_max = float(delta_max)
-    n_delta = int(n_delta)
     if not (math.isfinite(delta_min) and math.isfinite(delta_max)):
         raise ValidationError("phase bounds must be finite")
     if not delta_min < delta_max:
         raise ValidationError("delta_min must be < delta_max")
-    if n_delta < 2:
-        raise ValidationError("n_delta must be >= 2, got %r" % n_delta)
+    n_delta = _count(n_delta, "n_delta")
     e = g.points()
     deltas = np.linspace(delta_min, delta_max, n_delta, endpoint=endpoint)
+    phases = np.exp(2j * deltas)[:, None]
     rows = np.empty((n_delta, e.size))
-    for i, d in enumerate(deltas):
-        swept = ScatteringModel(m.resonances, float(d))
-        rows[i] = cross_section(s_unitary_product(swept, e))
+    step = max(1, (1 << 18) // e.size)  # rows per block, so the temporaries stay small
+    for i in range(0, n_delta, step):
+        rows[i:i + step] = cross_section(_resonant_product(phases[i:i + step], m.resonances, e))
     return ContourGrid(e, deltas, rows)
 
 
@@ -288,12 +296,11 @@ def _format_columns(header, *columns):
 
 
 def format_trace_csv(tr):
-    return _format_columns("energy,sigma", tr.energies, tr.sigma)
+    return _format_columns(_TRACE_HEADER, tr.energies, tr.sigma)
 
 
 def write_trace_csv(tr, path):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(format_trace_csv(tr))
+    _write_all([(path, format_trace_csv(tr))])
 
 
 def format_contour_csv(cg):
@@ -302,5 +309,88 @@ def format_contour_csv(cg):
 
 
 def write_contour_csv(cg, path):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(format_contour_csv(cg))
+    _write_all([(path, format_contour_csv(cg))])
+
+
+# The fast parser strips these ASCII information separators from around a
+# number; float(), and so the dialect, does not.
+_PARSER_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
+
+
+def _lines(text, chunk=1 << 16):
+    """text.split("\\n") a chunk at a time, so that no second copy of the
+    whole file is alive at once."""
+    def pieces(start=0):
+        while start <= len(text):
+            end = text.find("\n", start + chunk)
+            if end < 0:
+                end = len(text)
+            yield text[start:end].split("\n")
+            start = end + 1
+    return itertools.chain.from_iterable(pieces())
+
+
+def read_trace_csv(path):
+    """Read an 'energy,sigma' CSV into a trace.
+
+    The dialect: a header line 'energy,sigma', then one comma-separated
+    pair per line of ASCII numbers as float() reads them, without '_'
+    separators; fields may carry surrounding whitespace and double quotes,
+    blank lines are skipped, and there are no comments.  Unreadable files
+    raise OSError; malformed content raises ValidationError naming the
+    first bad line.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as err:
+            raise ValidationError("trace file %s: %s" % (path, err)) from err
+    lines = _lines(text)
+    rows = csv.reader(lines)
+    try:
+        header = next(rows, None)
+    except csv.Error as err:
+        raise ValidationError("trace file %s line %d: %s" % (path, rows.line_num, err)) from err
+    if header is None or [c.strip() for c in header] != _TRACE_HEADER.split(","):
+        raise ValidationError("trace file %s must start with header '%s'" % (path, _TRACE_HEADER))
+    body = 0
+    for _ in range(rows.line_num):
+        body = text.find("\n", body) + 1 or len(text)
+    data = None
+    if not any(text.find(c, body) >= 0 for c in _PARSER_ONLY_SPACE):
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # header-only file
+                # the csv reader took just the header's lines from `lines`
+                data = np.loadtxt(lines, delimiter=",", ndmin=2, comments=None, quotechar='"')
+        except ValueError:
+            pass
+    if data is None or (data.size and data.shape[1] != 2):
+        raise ValidationError(_bad_line(path, text) or "trace file %s: malformed body" % path)
+    energies, sigma = data.reshape(-1, 2).T  # a header-only file parses as (0, 1)
+    try:
+        return CrossSectionTrace(energies, sigma, TraceMeta("csv"))
+    except ValidationError as err:
+        raise ValidationError("trace file %s: %s" % (path, err)) from err
+
+
+def _bad_line(path, text):
+    """Message naming the first malformed line after the header, or None.
+    Only diagnoses a body the fast parser rejected; never returns data."""
+    rows = csv.reader(_lines(text))
+    try:
+        next(rows)
+        for row in rows:
+            if not row:
+                continue
+            if len(row) != 2:
+                return "trace file %s line %d: expected 2 columns" % (path, rows.line_num)
+            for field in row:
+                float(field)
+                # float() also takes digit separators and non-ASCII digits
+                stripped = field.strip()
+                if "_" in stripped or not stripped.isascii():
+                    raise ValueError("could not convert string to float: %r" % field)
+    except (ValueError, csv.Error) as err:
+        return "trace file %s line %d: %s" % (path, rows.line_num, err)
+    return None

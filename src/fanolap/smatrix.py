@@ -48,17 +48,10 @@ class Representation(enum.Enum):
 
 @dataclass(frozen=True)
 class CouplingPair:
-    """Pole-expansion numerators (w1, w2) for a two-resonance model.
-
-    ``kind`` is "static" for the energy-independent residues and "dynamic"
-    for the smooth energy-dependent choice, which then records the energy it
-    was evaluated at.
-    """
+    """Pole-expansion numerators (w1, w2) for a two-resonance model."""
 
     w1: complex
     w2: complex
-    kind: str
-    energy: float | None = None
 
 
 def s_unitary_product(m, energy):
@@ -67,11 +60,18 @@ def s_unitary_product(m, energy):
     Exactly unimodular for real E and any number of resonances.
     """
     e = np.asarray(energy, dtype=float)
-    s = np.full(e.shape, np.exp(2j * m.delta), dtype=complex)
-    for r in m.resonances:
+    # unnamed, so the starting array is freed once the first factor is applied
+    s = _resonant_product(np.full(e.shape, np.exp(2j * m.delta), dtype=complex), m.resonances, e)
+    return scalarize(s, energy, complex)
+
+
+def _resonant_product(s, resonances, e):
+    """s times each resonance factor (e - conj(ce_k))/(e - ce_k) in turn;
+    s broadcasts against e, so one factor serves every row of a 2-d s."""
+    for r in resonances:
         ce = complex_energy(r)
         s = s * ((e - ce.conjugate()) / (e - ce))
-    return scalarize(s, energy, complex)
+    return s
 
 
 def _check_not_degenerate(m, context):
@@ -95,7 +95,7 @@ def coupling_w_static(m):
     ce1, ce2 = complex_energy(r1), complex_energy(r2)
     w1 = r1.width * (1.0 - 1j * r2.width / (ce1 - ce2))
     w2 = r2.width * (1.0 - 1j * r1.width / (ce2 - ce1))
-    return CouplingPair(w1, w2, "static")
+    return CouplingPair(w1, w2)
 
 
 def _w_dynamic_raw(g1, g2, ce1, ce2, e):
@@ -116,7 +116,7 @@ def coupling_w_dynamic(m, energy):
     w1, w2 = _w_dynamic_raw(
         r1.width, r2.width, complex_energy(r1), complex_energy(r2), e
     )
-    return CouplingPair(w1, w2, "dynamic", e)
+    return CouplingPair(w1, w2)
 
 
 def s_pole(m, energy, rep):

@@ -17,6 +17,7 @@ from fanolap import (
     fano_q_dynamic,
     predict,
     save_model,
+    write_trace_csv,
 )
 from fanolap.cli import run
 from fanolap.scan import _format_columns
@@ -412,6 +413,31 @@ def test_output_path_collision_is_io_error(tmp_path, model_file, capsys):
     assert leftovers == []
 
 
+def test_failed_write_leaves_no_temporary(tmp_path, model_file, monkeypatch, capsys):
+    real_fdopen = os.fdopen
+
+    class Full:
+        def __init__(self, fd, *args, **kwargs):
+            self.fh = real_fdopen(fd, *args, **kwargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(os, "fdopen", Full)
+    out = tmp_path / "out" / "trace.csv"
+    code = run(["trace", "--model", model_file, "--emin", "-1", "--emax", "1",
+                "--n", "5", "--out", str(out)])
+    assert code == 2
+    assert "No space left" in capsys.readouterr().err
+    assert list(out.parent.iterdir()) == []
+
+
 def test_fig2_failure_leaves_no_partial_files(tmp_path):
     outdir = tmp_path / "fig2"
     outdir.mkdir()
@@ -420,6 +446,23 @@ def test_fig2_failure_leaves_no_partial_files(tmp_path):
     assert code == 2
     # nothing but the blocking directory is left behind
     assert sorted(p.name for p in outdir.iterdir()) == ["fig2_contour.csv"]
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o027, 0o640)])
+def test_new_output_files_get_the_umask_mode(tmp_path, umask, mode):
+    previous = os.umask(umask)
+    try:
+        model = tmp_path / "model.json"
+        save_model(TWO_RES, model)
+        out = tmp_path / "trace.csv"
+        assert run(["trace", "--model", str(model), "--emin", "-1", "--emax", "1",
+                    "--n", "5", "--out", str(out)]) == 0
+        tr = fanolap.read_trace_csv(out)
+        write_trace_csv(tr, tmp_path / "copy.csv")
+    finally:
+        os.umask(previous)
+    for name in ("model.json", "trace.csv", "copy.csv"):
+        assert (tmp_path / name).stat().st_mode & 0o777 == mode, name
 
 
 def _run_module(module, *argv):

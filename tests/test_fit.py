@@ -23,9 +23,9 @@ from fanolap import (
     trace,
 )
 from fanolap.cli import run
-from fanolap.fit import _jacobian_internal, _lines, _pack, _profile_internal
+from fanolap.fit import _jacobian_internal, _pack, _profile_internal
 from fanolap.model import EnergyGrid
-from fanolap.scan import CrossSectionTrace, TraceMeta, format_trace_csv
+from fanolap.scan import CrossSectionTrace, TraceMeta, _lines, format_trace_csv
 
 
 def synth(p, e_span=5.0, n=201, noise_seed=None, noise_amp=0.0):

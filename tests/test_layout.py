@@ -1,0 +1,89 @@
+"""Package layout checks: one public namespace, one file writer and one
+trace CSV header for the whole of ``src/fanolap``."""
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+import fanolap
+
+SRC = Path(fanolap.__file__).resolve().parent
+MODULES = ("errors", "fano", "fit", "model", "scan", "smatrix")
+
+
+def _public_names(mod):
+    if hasattr(mod, "__all__"):
+        return mod.__all__
+    return [n for n, v in vars(mod).items()
+            if not n.startswith("_") and getattr(v, "__module__", None) == mod.__name__]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_package_reexports_every_public_name(name):
+    mod = importlib.import_module("fanolap." + name)
+    names = _public_names(mod)
+    assert names
+    for n in names:
+        assert getattr(fanolap, n) is getattr(mod, n), n
+
+
+def test_trace_reader_lives_with_the_writer():
+    from fanolap import fit, scan
+
+    assert scan.read_trace_csv.__module__ == "fanolap.scan"
+    assert fit.read_trace_csv is scan.read_trace_csv
+
+
+def _writes(tree):
+    """(line, what) for each file write, temp file, rename or JSON dump."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                if "tempfile" in (alias.name, getattr(node, "module", None)):
+                    found.append((node.lineno, "tempfile"))
+        if not isinstance(node, ast.Call):
+            continue
+        f = node.func
+        name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+        owner = getattr(f.value, "id", None) if isinstance(f, ast.Attribute) else None
+        if owner == "json" and name in ("dump", "dumps"):
+            found.append((node.lineno, "json." + name))
+        elif owner == "os" and name in ("replace", "rename", "fdopen"):
+            found.append((node.lineno, "os." + name))
+        elif name in ("write_text", "write_bytes"):
+            found.append((node.lineno, name))
+        elif name == "open":
+            # open(path, mode), io.open(path, mode) and Path.open(mode)
+            at = 1 if isinstance(f, ast.Name) or owner in ("io", "os", "codecs") else 0
+            mode = node.args[at] if len(node.args) > at else None
+            for kw in node.keywords:
+                if kw.arg == "mode":
+                    mode = kw.value
+            if mode is not None and not (
+                isinstance(mode, ast.Constant) and set(str(mode.value)) <= set("rbt")
+            ):
+                found.append((node.lineno, "open for writing"))
+    return found
+
+
+def test_only_util_writes_files():
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "_util.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        offenders += ["%s:%d %s" % (path.name, line, what) for line, what in _writes(tree)]
+    assert offenders == []
+    assert _writes(ast.parse((SRC / "_util.py").read_text(encoding="utf-8")))
+
+
+def test_trace_header_is_spelled_once():
+    hits = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Constant) and node.value == "energy,sigma":
+                hits.append("%s:%d" % (path.name, node.lineno))
+    assert len(hits) == 1, hits

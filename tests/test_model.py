@@ -142,6 +142,13 @@ def test_grid_validation():
         EnergyGrid(0.0, 1.0, 1)
     with pytest.raises(ValidationError):
         EnergyGrid(0.0, math.inf, 10)
+    # a count must be an integer; nothing is rounded or parsed
+    for bad in (2.7, 5.0, "5", math.nan, math.inf, np.float64(5.0), None):
+        with pytest.raises(ValidationError, match="n_points must be an integer"):
+            EnergyGrid(-1.0, 1.0, bad)
+    for good in (5, np.int64(5), np.uint8(5)):
+        n = EnergyGrid(-1.0, 1.0, good).n_points
+        assert n == 5 and type(n) is int
 
 
 def test_dict_round_trip():

@@ -15,12 +15,14 @@ from fanolap import (
     ValidationError,
     compare_representations,
     contour,
+    cross_section,
     figure1,
     figure2,
     figure2_model,
     format_contour_csv,
     format_trace_csv,
     resonance_phase,
+    s_unitary_product,
     trace,
     write_contour_csv,
     write_trace_csv,
@@ -130,6 +132,40 @@ def test_contour_grid_validation():
         )
     with pytest.raises(ValidationError):
         contour(TWO_RES, EnergyGrid(-1.0, 1.0, 5), 0.0, math.pi, 1)
+    with pytest.raises(ValidationError, match="n_delta must be an integer"):
+        contour(TWO_RES, EnergyGrid(-1.0, 1.0, 5), 0.0, math.pi, 2.9)
+
+
+@pytest.mark.parametrize("n_res", [2, 12])
+@pytest.mark.parametrize("endpoint", [True, False])
+def test_contour_rows_bitwise_equal_product_form(n_res, endpoint):
+    rng = np.random.default_rng(n_res)
+    m = ScatteringModel(
+        tuple(Resonance(p, w) for p, w in zip(rng.uniform(-4.0, 4.0, n_res),
+                                              rng.uniform(0.1, 3.0, n_res)))
+    )
+    g = EnergyGrid(-6.0, 6.0, 257)
+    cg = contour(m, g, -2.0, 2.5, 23, endpoint=endpoint)
+    for d, row in zip(cg.deltas, cg.sigma):
+        swept = ScatteringModel(m.resonances, float(d))
+        ref = cross_section(s_unitary_product(swept, g.points()))
+        assert row.tobytes() == ref.tobytes()
+
+
+def test_contour_rows_match_product_form_on_wide_grids():
+    # from 16384 energies numpy reuses the temporary factor array in the
+    # per-row product, which swaps the operands of the complex multiply;
+    # the rows then agree to rounding, not bitwise
+    rng = np.random.default_rng(7)
+    m = ScatteringModel(
+        tuple(Resonance(p, w) for p, w in zip(rng.uniform(-4.0, 4.0, 12),
+                                              rng.uniform(0.1, 3.0, 12)))
+    )
+    g = EnergyGrid(-6.0, 6.0, 20001)
+    cg = contour(m, g, 0.0, math.pi, 3)
+    for d, row in zip(cg.deltas, cg.sigma):
+        ref = cross_section(s_unitary_product(ScatteringModel(m.resonances, d), g.points()))
+        assert np.max(np.abs(row - ref)) < 1e-13
 
 
 def test_figure1_panels():
@@ -299,6 +335,21 @@ def test_contour_csv_format(tmp_path):
     path = tmp_path / "c.csv"
     write_contour_csv(cg, path)
     assert path.read_text() == text
+
+
+def test_library_writers_create_parents_and_replace_atomically(tmp_path):
+    tr = trace(TWO_RES, EnergyGrid(-1.0, 1.0, 3), Representation.UNITARY_PRODUCT)
+    path = tmp_path / "new" / "dir" / "t.csv"
+    write_trace_csv(tr, str(path))
+    assert path.read_text() == format_trace_csv(tr)
+    # a path that is a directory fails before anything is staged
+    with pytest.raises(IsADirectoryError):
+        write_trace_csv(tr, path.parent)
+    assert sorted(p.name for p in path.parent.iterdir()) == ["t.csv"]
+    cg = contour(TWO_RES, EnergyGrid(-1.0, 1.0, 4), 0.0, math.pi, 3)
+    write_contour_csv(cg, path)
+    assert path.read_text() == format_contour_csv(cg)
+    assert sorted(p.name for p in path.parent.iterdir()) == ["t.csv"]
 
 
 def test_figure_outputs_deterministic():

@@ -93,7 +93,6 @@ def test_dynamic_coupling_zero_at_midpoint():
     # 2E - ce1 - ce2 = i at E = 1, so W1 = 1*(1 - i/i) = 0 exactly
     pair = coupling_w_dynamic(TWO_RES, 1.0)
     assert pair.w1 == 0.0
-    assert pair.energy == 1.0
 
 
 def test_dynamic_coupling_isolated_limit():
