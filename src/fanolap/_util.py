@@ -1,12 +1,36 @@
-"""Small helpers shared across modules, the package's one file writer among them."""
+"""Small helpers shared across modules, the one file writer and number checks among them."""
 
 import errno
 import json
+import math
+import operator
 import os
-import tempfile
+import secrets
 from pathlib import Path
 
 import numpy as np
+
+from .errors import ValidationError
+
+
+def _real(value, field, positive=False):
+    """float(value), which must be finite, and > 0 when ``positive``."""
+    x = float(value)
+    if not (math.isfinite(x) and (x > 0.0 or not positive)):
+        rule = " and > 0" if positive else ""
+        raise ValidationError("%s must be finite%s, got %r" % (field, rule, x))
+    return x
+
+
+def _count(value, field, least=2):
+    """A count: a Python or numpy integer of at least ``least``."""
+    try:
+        n = operator.index(value)
+    except TypeError:
+        raise ValidationError("%s must be an integer, got %r" % (field, value)) from None
+    if n < least:
+        raise ValidationError("%s must be >= %d, got %r" % (field, least, n))
+    return n
 
 
 def scalarize(values, like, kind=float):
@@ -21,6 +45,14 @@ def scalarize(values, like, kind=float):
     return arr
 
 
+def _times(z, f):
+    """z * f (z an array or numpy scalar) with z first on every grid size.
+    numpy evaluates z * f as f * z where it can reuse a temporary f, and its
+    complex multiply is not bitwise commutative; so f is reused here."""
+    out = f if isinstance(f, np.ndarray) and f.shape == z.shape else None
+    return np.multiply(z, f, out)
+
+
 def _json_text(obj):
     """The JSON layout of every output: indent 2, sorted keys, final newline."""
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
@@ -30,8 +62,6 @@ def _write_all(outputs):
     """Write each (path, text) through a temporary file renamed into place,
     creating parent directories.  All files are staged before the first
     rename, so a failed write lands none; each gets open()'s new-file mode."""
-    umask = os.umask(0o022)  # the umask can only be read by setting it
-    os.umask(umask)
     staged = []
     try:
         for path, text in outputs:
@@ -43,12 +73,12 @@ def _write_all(outputs):
                 raise IsADirectoryError(
                     errno.EISDIR, "output path is a directory", str(path)
                 )
-            fd, tmp = tempfile.mkstemp(prefix=path.name + ".", dir=str(path.parent))
+            tmp = path.with_name(path.name + "." + secrets.token_hex(8))
+            # mode 0o666 lets the kernel apply the umask, as open(path, "w") does
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
             staged.append((tmp, path))
             with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
                 fh.write(text)
-            # mkstemp creates the file with mode 0o600
-            os.chmod(tmp, 0o666 & ~umask)
         for tmp, path in staged:
             os.replace(tmp, path)
     finally:

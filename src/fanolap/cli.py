@@ -43,6 +43,9 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+_SOLVER_OPTIONS = {"max_iter": int, "tol_step": float, "tol_grad": float, "damping_init": float}
+
+
 def _add_grid_flags(sub, required=True):
     sub.add_argument("--emin", type=float, required=required, help="grid start energy")
     sub.add_argument("--emax", type=float, required=required, help="grid end energy")
@@ -113,10 +116,9 @@ def _build_parser():
 
     p = sub.add_parser("fit", help="fit a Fano profile to a trace CSV")
     p.add_argument("--data", required=True, help="input 'energy,sigma' CSV")
-    p.add_argument("--max-iter", type=int, default=200)
-    p.add_argument("--tol-step", type=float, default=1e-10)
-    p.add_argument("--tol-grad", type=float, default=1e-12)
-    p.add_argument("--damping-init", type=float, default=1e-3)
+    for name, kind in _SOLVER_OPTIONS.items():
+        # fit_fano's signature holds the defaults; only given flags are passed on
+        p.add_argument("--" + name.replace("_", "-"), type=kind, default=argparse.SUPPRESS)
     p.add_argument("--out", required=True, help="output JSON path")
     p.set_defaults(func=_cmd_fit)
 
@@ -187,13 +189,8 @@ def _cmd_fig2(args):
 
 def _cmd_fit(args):
     tr = read_trace_csv(args.data)
-    res = fit_fano(
-        tr,
-        max_iter=args.max_iter,
-        tol_step=args.tol_step,
-        tol_grad=args.tol_grad,
-        damping_init=args.damping_init,
-    )
+    given = {name: getattr(args, name) for name in _SOLVER_OPTIONS if hasattr(args, name)}
+    res = fit_fano(tr, **given)
     return [(args.out, format_fit_json(res))]
 
 

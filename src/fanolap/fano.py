@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import scalarize
+from ._util import _real, _times, scalarize
 from .errors import (
     EqualWidthsSingularity,
     NegativeAkError,
@@ -68,10 +68,7 @@ class FanoStaticParams:
 
     def __post_init__(self):
         for name in ("q", "a1", "a2", "sigma_a1", "sigma_a2", "sigma_b"):
-            value = float(getattr(self, name))
-            object.__setattr__(self, name, value)
-            if not math.isfinite(value):
-                raise ValidationError("field %r must be finite, got %r" % (name, value))
+            object.__setattr__(self, name, _real(getattr(self, name), name))
         scale = max(1.0, abs(self.sigma_a1), abs(self.sigma_a2), abs(self.sigma_b))
         total = self.sigma_a1 + self.sigma_a2 + self.sigma_b
         if abs(total) > 1e-12 * scale:
@@ -109,7 +106,7 @@ def _interfering_phase(m, k, energy):
         if index == k:
             continue
         eps = _eps(e, r.position, r.width)
-        z = z * ((eps - 1j) / np.sqrt(eps * eps + 1.0))
+        z = _times(z, (eps - 1j) / np.sqrt(eps * eps + 1.0))
     return z.real, z.imag
 
 

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import _json_text, scalarize
-from .errors import BadInitialGuess, InsufficientData, ValidationError
+from ._util import _count, _json_text, _real, scalarize
+from .errors import BadInitialGuess, InsufficientData
 from .model import _eps
 # read_trace_csv lives with the trace CSV writer; it stays public here too
 from .scan import read_trace_csv
@@ -52,12 +52,8 @@ class FanoProfileModel:
 
     def __post_init__(self):
         for name in _PARAM_NAMES:
-            value = float(getattr(self, name))
+            value = _real(getattr(self, name), name, positive=name == "gamma")
             object.__setattr__(self, name, value)
-            if not math.isfinite(value):
-                raise ValidationError("field %r must be finite, got %r" % (name, value))
-        if self.gamma <= 0.0:
-            raise ValidationError("gamma must be > 0, got %r" % self.gamma)
 
 
 @dataclass(frozen=True)
@@ -189,12 +185,10 @@ def fit_fano(trace, guess=None, *, max_iter=200, tol_step=1e-10, tol_grad=1e-12,
         raise InsufficientData("fit_fano needs at least 6 points, got %d" % e.size)
     if guess is None:
         guess = initial_guess(trace)
-    max_iter = int(max_iter)
-    tol_step = float(tol_step)
-    tol_grad = float(tol_grad)
-    lam = float(damping_init)
-    if max_iter < 1 or tol_step <= 0.0 or tol_grad <= 0.0 or lam <= 0.0:
-        raise ValidationError("solver options must be positive")
+    max_iter = _count(max_iter, "max_iter", least=1)
+    tol_step = _real(tol_step, "tol_step", positive=True)
+    tol_grad = _real(tol_grad, "tol_grad", positive=True)
+    lam = _real(damping_init, "damping_init", positive=True)
 
     p = _pack(guess)
     with np.errstate(over="ignore", invalid="ignore"):

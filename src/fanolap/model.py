@@ -7,13 +7,11 @@ constant background phase ``delta``.
 """
 
 import json
-import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import _json_text, _write_all, scalarize
+from ._util import _count, _json_text, _real, _write_all, scalarize
 from .errors import ValidationError
 
 __all__ = [
@@ -38,12 +36,8 @@ class Resonance:
     width: float
 
     def __post_init__(self):
-        object.__setattr__(self, "position", float(self.position))
-        object.__setattr__(self, "width", float(self.width))
-        if not math.isfinite(self.position):
-            raise ValidationError("position must be finite, got %r" % self.position)
-        if not (math.isfinite(self.width) and self.width > 0.0):
-            raise ValidationError("width must be finite and > 0, got %r" % self.width)
+        object.__setattr__(self, "position", _real(self.position, "position"))
+        object.__setattr__(self, "width", _real(self.width, "width", positive=True))
 
 
 @dataclass(frozen=True)
@@ -61,9 +55,7 @@ class ScatteringModel:
             if not isinstance(r, Resonance):
                 raise ValidationError("resonances must be Resonance instances, got %r" % (r,))
         object.__setattr__(self, "resonances", res)
-        object.__setattr__(self, "delta", float(self.delta))
-        if not math.isfinite(self.delta):
-            raise ValidationError("delta must be finite, got %r" % self.delta)
+        object.__setattr__(self, "delta", _real(self.delta, "delta"))
 
 
 @dataclass(frozen=True)
@@ -75,10 +67,8 @@ class EnergyGrid:
     n_points: int
 
     def __post_init__(self):
-        object.__setattr__(self, "e_min", float(self.e_min))
-        object.__setattr__(self, "e_max", float(self.e_max))
-        if not (math.isfinite(self.e_min) and math.isfinite(self.e_max)):
-            raise ValidationError("grid bounds must be finite")
+        object.__setattr__(self, "e_min", _real(self.e_min, "e_min"))
+        object.__setattr__(self, "e_max", _real(self.e_max, "e_max"))
         if not self.e_min < self.e_max:
             raise ValidationError(
                 "e_min must be < e_max, got %r >= %r" % (self.e_min, self.e_max)
@@ -88,17 +78,6 @@ class EnergyGrid:
     def points(self):
         """Evaluation energies, endpoints included."""
         return np.linspace(self.e_min, self.e_max, self.n_points)
-
-
-def _count(value, field):
-    """A grid count: a Python or numpy integer of at least 2."""
-    try:
-        n = operator.index(value)
-    except TypeError:
-        raise ValidationError("%s must be an integer, got %r" % (field, value)) from None
-    if n < 2:
-        raise ValidationError("%s must be >= 2, got %r" % (field, n))
-    return n
 
 
 def complex_energy(r):

@@ -14,13 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import _write_all
+from ._util import _count, _real, _write_all
 from .errors import DoublePoleSingularity, ValidationError
 from .model import (
     EnergyGrid,
     Resonance,
     ScatteringModel,
-    _count,
     _require_two_zero_delta,
     epsilon,
     model_to_dict,
@@ -62,6 +61,7 @@ UNITARITY_SLACK = 1e-12
 
 _FMT = "%.17g"
 _TRACE_HEADER = "energy,sigma"
+_BLOCK_VALUES = 1 << 16  # values per %-format in _format_columns
 
 
 @dataclass(frozen=True)
@@ -176,10 +176,8 @@ def trace(m, g, rep):
 
 def contour(m, g, delta_min, delta_max, n_delta, endpoint=True):
     """Sweep the background phase over [delta_min, delta_max], one row per phase."""
-    delta_min = float(delta_min)
-    delta_max = float(delta_max)
-    if not (math.isfinite(delta_min) and math.isfinite(delta_max)):
-        raise ValidationError("phase bounds must be finite")
+    delta_min = _real(delta_min, "delta_min")
+    delta_max = _real(delta_max, "delta_max")
     if not delta_min < delta_max:
         raise ValidationError("delta_min must be < delta_max")
     n_delta = _count(n_delta, "n_delta")
@@ -289,10 +287,13 @@ def compare_representations(m, g):
 
 def _format_columns(header, *columns):
     """The header line, then one CSV line per row of the columns side by
-    side (a 2-d block adds one field per block column), in one %-format."""
+    side (a 2-d block adds one field per block column), one %-format per
+    block of rows, so only about _BLOCK_VALUES Python floats live at once."""
     block = np.column_stack(columns)
     line = ",".join([_FMT] * block.shape[1]) + "\n"
-    return header + "\n" + (line * len(block)) % tuple(block.ravel().tolist())
+    step = max(1, _BLOCK_VALUES // block.shape[1])
+    rows = np.split(block, range(step, len(block), step))
+    return header + "\n" + "".join((line * len(r)) % tuple(r.ravel().tolist()) for r in rows)
 
 
 def format_trace_csv(tr):

@@ -10,12 +10,11 @@ degenerate (double) pole has its own closed form.
 """
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import scalarize
+from ._util import _real, _times, scalarize
 from .errors import DoublePoleSingularity, ValidationError
 from .model import _require_two_zero_delta, complex_energy, resonance_phase
 
@@ -70,7 +69,7 @@ def _resonant_product(s, resonances, e):
     s broadcasts against e, so one factor serves every row of a 2-d s."""
     for r in resonances:
         ce = complex_energy(r)
-        s = s * ((e - ce.conjugate()) / (e - ce))
+        s = _times(s, (e - ce.conjugate()) / (e - ce))
     return s
 
 
@@ -110,9 +109,7 @@ def coupling_w_dynamic(m, energy):
     pair; the denominator keeps a positive imaginary part on the real axis.
     """
     r1, r2 = _require_two_zero_delta(m, "coupling_w_dynamic")
-    e = float(energy)
-    if not math.isfinite(e):
-        raise ValidationError("energy must be finite, got %r" % energy)
+    e = _real(energy, "energy")
     w1, w2 = _w_dynamic_raw(
         r1.width, r2.width, complex_energy(r1), complex_energy(r2), e
     )
@@ -141,14 +138,8 @@ def s_pole(m, energy, rep):
 
 def _double_pole_args(e_d, gamma_d, delta):
     """Validated floats (e_d, gamma_d, delta) of a degenerate pole."""
-    e_d = float(e_d)
-    gamma_d = float(gamma_d)
-    delta = float(delta)
-    if not (math.isfinite(gamma_d) and gamma_d > 0.0):
-        raise ValidationError("gamma_d must be finite and > 0, got %r" % gamma_d)
-    if not (math.isfinite(e_d) and math.isfinite(delta)):
-        raise ValidationError("e_d and delta must be finite")
-    return e_d, gamma_d, delta
+    gamma_d = _real(gamma_d, "gamma_d", positive=True)
+    return _real(e_d, "e_d"), gamma_d, _real(delta, "delta")
 
 
 def s_double_pole(e_d, gamma_d, delta, energy):

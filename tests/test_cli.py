@@ -10,11 +10,14 @@ import pytest
 
 import fanolap
 from fanolap import (
+    CrossSectionTrace,
     EnergyGrid,
     FanoProfileModel,
     Resonance,
     ScatteringModel,
+    TraceMeta,
     fano_q_dynamic,
+    format_trace_csv,
     predict,
     save_model,
     write_trace_csv,
@@ -305,6 +308,24 @@ def test_fit_solver_flags(tmp_path, capsys):
     assert body["iterations"] <= 3
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--damping-init", "nan", "damping_init must be finite and > 0, got nan"),
+    ("--tol-grad", "inf", "tol_grad must be finite and > 0, got inf"),
+    ("--tol-step", "-1e-10", "tol_step must be finite and > 0, got -1e-10"),
+    ("--max-iter", "0", "max_iter must be >= 1, got 0"),
+])
+def test_fit_rejects_bad_solver_flags(tmp_path, capsys, flag, value, message):
+    data = tmp_path / "data.csv"
+    e = np.linspace(-4, 4, 41)
+    truth = FanoProfileModel(1.0, 0.0, 1.0, 1.0, 0.5)
+    data.write_text(format_trace_csv(CrossSectionTrace(e, predict(truth, e), TraceMeta("t"))))
+    out = tmp_path / "fit.json"
+    code = run(["fit", "--data", str(data), "%s=%s" % (flag, value), "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == "ValidationError: %s\n" % message
+    assert not out.exists()
+
+
 def test_fit_malformed_data(tmp_path, capsys):
     data = tmp_path / "data.csv"
     data.write_text("wrong,header\n0,1\n")
@@ -463,6 +484,24 @@ def test_new_output_files_get_the_umask_mode(tmp_path, umask, mode):
         os.umask(previous)
     for name in ("model.json", "trace.csv", "copy.csv"):
         assert (tmp_path / name).stat().st_mode & 0o777 == mode, name
+
+
+def test_output_mode_without_reading_the_umask(tmp_path, model_file, monkeypatch):
+    # the umask is process-wide; the writer leaves it to the kernel
+    def umask(_):
+        raise AssertionError("os.umask called")
+
+    previous = os.umask(0o022)
+    try:
+        monkeypatch.setattr(os, "umask", umask)
+        out = tmp_path / "trace.csv"
+        assert run(["trace", "--model", model_file, "--emin", "-1", "--emax", "1",
+                    "--n", "5", "--out", str(out)]) == 0
+    finally:
+        monkeypatch.undo()
+        os.umask(previous)
+    assert out.stat().st_mode & 0o777 == 0o644
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json", "trace.csv"]
 
 
 def _run_module(module, *argv):

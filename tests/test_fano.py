@@ -36,6 +36,28 @@ FIG2A = ScatteringModel(
 GRID = np.linspace(-6.0, 6.0, 4001)
 
 
+@pytest.mark.parametrize("evaluator", [
+    s_unitary_product,
+    lambda m, e: fano_q_dynamic(m, 0, e),
+    lambda m, e: fano_cross_section_dynamic(m, 0, e),
+], ids=["s_unitary_product", "fano_q_dynamic", "fano_cross_section_dynamic"])
+def test_energy_value_independent_of_grid_size(evaluator):
+    # numpy reorders the operands of z * f on large temporaries, and its
+    # complex multiply is not bitwise commutative
+    rng = np.random.default_rng(11)
+    e = np.linspace(-6.0, 6.0, 40000)
+    for _ in range(5):
+        n = int(rng.integers(2, 13))
+        m = ScatteringModel(
+            tuple(Resonance(p, w) for p, w in zip(rng.uniform(-4.0, 4.0, n),
+                                                  rng.uniform(0.1, 3.0, n))),
+            float(rng.uniform(-2.0, 2.0)),
+        )
+        full = evaluator(m, e)
+        assert full[:1000].tobytes() == evaluator(m, e[:1000]).tobytes()
+        assert full[16383:16385].tobytes() == evaluator(m, e[16383:16385]).tobytes()
+
+
 def test_static_params_frozen_values():
     p = fano_static_params(REF_MODEL)
     assert p.q == pytest.approx(1.0, abs=1e-15)

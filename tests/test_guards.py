@@ -1,22 +1,28 @@
 """The shared domain guards, seen from every public entry point that uses
-them: the two-resonance count, the degenerate-pole width gamma_d, and the
-degenerate-pole separation."""
+them: the two-resonance count, the degenerate-pole width gamma_d, the
+degenerate-pole separation, and the one check of every scalar a caller
+passes in."""
 
 import math
 
+import numpy as np
 import pytest
 
 from fanolap import (
     ComplexFanoParams,
+    CrossSectionTrace,
     DoublePoleSingularity,
     EnergyGrid,
+    FanoProfileModel,
     FanoStaticParams,
     Representation,
     Resonance,
     ScatteringModel,
+    TraceMeta,
     ValidationError,
     breit_wigner_energy,
     compare_representations,
+    contour,
     coupling_w_dynamic,
     coupling_w_static,
     double_pole_fano,
@@ -24,6 +30,7 @@ from fanolap import (
     fano_cross_section_static,
     fano_static_params,
     figure1,
+    fit_fano,
     s_double_pole,
     s_pole,
     window_energy,
@@ -75,3 +82,68 @@ def test_static_forms_reject_degenerate_pair(entry):
     assert str(exc.value) == (
         "%s: pole separation 0.0 is below tolerance, couplings diverge" % entry.__name__
     )
+
+
+E = np.linspace(-3.0, 3.0, 41)
+TRACE = CrossSectionTrace(E, 1.0 / (1.0 + E * E), TraceMeta("test"))
+STATIC_FIELDS = dict(zip(("q", "a1", "a2", "sigma_a1", "sigma_a2", "sigma_b"),
+                         (0.5, 1.0, 2.0, -1.0, 0.5, 0.5)))
+PROFILE_FIELDS = dict(q=1.0, e0=0.0, gamma=1.0, amplitude=1.0, offset=0.0)
+
+# (field, must be positive, entry point taking the value)
+SCALAR_ENTRY_POINTS = [
+    ("position", False, lambda v: Resonance(v, 1.0)),
+    ("width", True, lambda v: Resonance(0.0, v)),
+    ("delta", False, lambda v: ScatteringModel((Resonance(0.0, 1.0),), v)),
+    ("e_min", False, lambda v: EnergyGrid(v, 1.0, 5)),
+    ("e_max", False, lambda v: EnergyGrid(-1.0, v, 5)),
+    ("delta_min", False, lambda v: contour(DEGENERATE, EnergyGrid(-1, 1, 5), v, 1.0, 3)),
+    ("delta_max", False, lambda v: contour(DEGENERATE, EnergyGrid(-1, 1, 5), 0.0, v, 3)),
+    ("gamma_d", True, lambda v: s_double_pole(0.0, v, 0.0, 0.0)),
+    ("e_d", False, lambda v: s_double_pole(v, 1.0, 0.0, 0.0)),
+    ("delta", False, lambda v: s_double_pole(0.0, 1.0, v, 0.0)),
+    ("e_d", False, lambda v: double_pole_fano(v, 1.0, 0.0, 0.0)),
+    ("delta", False, lambda v: double_pole_fano(0.0, 1.0, v, 0.0)),
+    ("energy", False, lambda v: coupling_w_dynamic(DEGENERATE, v)),
+    ("tol_step", True, lambda v: fit_fano(TRACE, tol_step=v)),
+    ("tol_grad", True, lambda v: fit_fano(TRACE, tol_grad=v)),
+    ("damping_init", True, lambda v: fit_fano(TRACE, damping_init=v)),
+]
+SCALAR_ENTRY_POINTS += [
+    (name, False, lambda v, name=name: FanoStaticParams(**dict(STATIC_FIELDS, **{name: v})))
+    for name in STATIC_FIELDS
+]
+SCALAR_ENTRY_POINTS += [
+    (name, name == "gamma",
+     lambda v, name=name: FanoProfileModel(**dict(PROFILE_FIELDS, **{name: v})))
+    for name in PROFILE_FIELDS
+]
+
+
+def _scalar_cases():
+    for i, (field, positive, entry) in enumerate(SCALAR_ENTRY_POINTS):
+        for value in (math.nan, math.inf, -math.inf) + ((0.0, -1) if positive else ()):
+            yield pytest.param(field, positive, entry, value, id="%d-%s-%r" % (i, field, value))
+
+
+@pytest.mark.parametrize("field, positive, entry, value", _scalar_cases())
+def test_scalar_entry_points_reject_bad_values(field, positive, entry, value):
+    with pytest.raises(ValidationError) as exc:
+        entry(value)
+    rule = "finite and > 0" if positive else "finite"
+    assert str(exc.value) == "%s must be %s, got %r" % (field, rule, float(value))
+
+
+@pytest.mark.parametrize("max_iter, message", [
+    (2.5, "max_iter must be an integer, got 2.5"),
+    (0, "max_iter must be >= 1, got 0"),
+    (-3, "max_iter must be >= 1, got -3"),
+])
+def test_fit_rejects_bad_max_iter(max_iter, message):
+    with pytest.raises(ValidationError) as exc:
+        fit_fano(TRACE, max_iter=max_iter)
+    assert str(exc.value) == message
+
+
+def test_fit_takes_one_iteration():
+    assert fit_fano(TRACE, max_iter=np.int64(1)).iterations == 1

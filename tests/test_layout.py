@@ -1,8 +1,9 @@
-"""Package layout checks: one public namespace, one file writer and one
-trace CSV header for the whole of ``src/fanolap``."""
+"""Package layout checks: one public namespace, one file writer, one
+scalar validator and one trace CSV header for the whole of ``src/fanolap``."""
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -87,3 +88,17 @@ def test_trace_header_is_spelled_once():
             if isinstance(node, ast.Constant) and node.value == "energy,sigma":
                 hits.append("%s:%d" % (path.name, node.lineno))
     assert len(hits) == 1, hits
+
+
+# the wording of _util._real and _util._count; a second validator would repeat it
+_SCALAR_RULE = re.compile(r"must be finite.*, got|must be >=")
+
+
+def test_only_util_validates_scalars():
+    hits = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                if _SCALAR_RULE.search(node.value):
+                    hits.append(path.name)
+    assert hits and set(hits) == {"_util.py"}, hits

@@ -27,7 +27,7 @@ from fanolap import (
     write_contour_csv,
     write_trace_csv,
 )
-from fanolap.scan import _format_columns
+from fanolap.scan import _BLOCK_VALUES, _format_columns
 
 TWO_RES = ScatteringModel((Resonance(0.0, 1.0), Resonance(2.0, 1.0)))
 
@@ -153,9 +153,6 @@ def test_contour_rows_bitwise_equal_product_form(n_res, endpoint):
 
 
 def test_contour_rows_match_product_form_on_wide_grids():
-    # from 16384 energies numpy reuses the temporary factor array in the
-    # per-row product, which swaps the operands of the complex multiply;
-    # the rows then agree to rounding, not bitwise
     rng = np.random.default_rng(7)
     m = ScatteringModel(
         tuple(Resonance(p, w) for p, w in zip(rng.uniform(-4.0, 4.0, 12),
@@ -165,7 +162,7 @@ def test_contour_rows_match_product_form_on_wide_grids():
     cg = contour(m, g, 0.0, math.pi, 3)
     for d, row in zip(cg.deltas, cg.sigma):
         ref = cross_section(s_unitary_product(ScatteringModel(m.resonances, d), g.points()))
-        assert np.max(np.abs(row - ref)) < 1e-13
+        assert row.tobytes() == ref.tobytes()
 
 
 def test_figure1_panels():
@@ -319,6 +316,15 @@ def test_column_writer_matches_line_by_line_format():
     block = y[:60].reshape(6, 10)
     rows = ["h"] + [",".join("%.17g" % v for v in (a, *r)) for a, r in zip(x, block)]
     assert _format_columns("h", x[:6], block) == "\n".join(rows) + "\n"
+    # row counts around the formatting block size, for 2 and for 7 fields a row
+    for ncols in (2, 7):
+        step = _BLOCK_VALUES // ncols
+        for n in (step - 1, step, step + 1):
+            x = rng.uniform(-1.0, 1.0, n)
+            block = rng.standard_normal((n, ncols - 1)) * 10.0 ** rng.integers(-30, 30, n)[:, None]
+            columns = (x, block[:, 0]) if ncols == 2 else (x, block)
+            rows = ["h"] + [",".join("%.17g" % v for v in (a, *r)) for a, r in zip(x, block)]
+            assert _format_columns("h", *columns) == "\n".join(rows) + "\n"
 
 
 def test_contour_csv_format(tmp_path):
