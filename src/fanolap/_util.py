@@ -5,7 +5,6 @@ import json
 import math
 import operator
 import os
-import secrets
 from pathlib import Path
 
 import numpy as np
@@ -13,9 +12,19 @@ import numpy as np
 from .errors import ValidationError
 
 
+# what a number from outside may be; bool is an int but never a number here
+_REAL_TYPES = (int, float, np.integer, np.floating)
+
+
 def _real(value, field, positive=False):
-    """float(value), which must be finite, and > 0 when ``positive``."""
-    x = float(value)
+    """float(value) of a Python or numpy int or float (not a bool), which
+    must be finite, and > 0 when ``positive``."""
+    if isinstance(value, bool) or not isinstance(value, _REAL_TYPES):
+        raise ValidationError("%s must be a real number, got %r" % (field, value))
+    try:
+        x = float(value)
+    except OverflowError:  # a Python int beyond the float range
+        x = math.inf
     if not (math.isfinite(x) and (x > 0.0 or not positive)):
         rule = " and > 0" if positive else ""
         raise ValidationError("%s must be finite%s, got %r" % (field, rule, x))
@@ -23,25 +32,27 @@ def _real(value, field, positive=False):
 
 
 def _count(value, field, least=2):
-    """A count: a Python or numpy integer of at least ``least``."""
+    """A count: a Python or numpy integer (not a bool) of at least ``least``."""
     try:
         n = operator.index(value)
     except TypeError:
-        raise ValidationError("%s must be an integer, got %r" % (field, value)) from None
+        n = None
+    if n is None or isinstance(value, bool):
+        raise ValidationError("%s must be an integer, got %r" % (field, value))
     if n < least:
         raise ValidationError("%s must be >= %d, got %r" % (field, least, n))
     return n
 
 
-def scalarize(values, like, kind=float):
-    """Return a Python scalar when the caller passed a scalar energy.
+def scalarize(values, like):
+    """Return a Python float or complex when the caller passed a scalar energy.
 
     ``like`` is the original argument; array-like input passes through as an
     ndarray so every evaluator works transparently on grids.
     """
     arr = np.asarray(values)
     if np.ndim(like) == 0:
-        return kind(arr[()])
+        return arr.item()
     return arr
 
 
@@ -73,7 +84,7 @@ def _write_all(outputs):
                 raise IsADirectoryError(
                     errno.EISDIR, "output path is a directory", str(path)
                 )
-            tmp = path.with_name(path.name + "." + secrets.token_hex(8))
+            tmp = path.with_name(path.name + "." + os.urandom(8).hex())
             # mode 0o666 lets the kernel apply the umask, as open(path, "w") does
             fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
             staged.append((tmp, path))

@@ -52,17 +52,14 @@ def _add_grid_flags(sub, required=True):
     sub.add_argument("--n", type=int, required=required, help="number of grid points")
 
 
-def _grid_from_args(args):
-    return EnergyGrid(args.emin, args.emax, args.n)
-
-
-def _optional_grid(args):
+def _grid(args):
+    """The --emin/--emax/--n grid, or None when no grid flag is given."""
     flags = (args.emin, args.emax, args.n)
     if all(v is None for v in flags):
         return None
     if any(v is None for v in flags):
         raise _UsageError("--emin, --emax and --n must be given together")
-    return _grid_from_args(args)
+    return EnergyGrid(*flags)
 
 
 def _build_parser():
@@ -133,13 +130,13 @@ def _build_parser():
 
 def _cmd_trace(args):
     m = load_model(args.model)
-    tr = trace(m, _grid_from_args(args), Representation(args.repr))
+    tr = trace(m, _grid(args), Representation(args.repr))
     return [(args.out, format_trace_csv(tr))]
 
 
 def _cmd_qscan(args):
     m = load_model(args.model)
-    e = _grid_from_args(args).points()
+    e = _grid(args).points()
     q = fano_q_dynamic(m, args.k, e)
     return [(args.out, _format_columns("energy,q", e, q))]
 
@@ -162,12 +159,12 @@ def _cmd_params(args):
 
 def _cmd_contour(args):
     m = load_model(args.model)
-    cg = contour(m, _grid_from_args(args), args.delta_min, args.delta_max, args.ndelta)
+    cg = contour(m, _grid(args), args.delta_min, args.delta_max, args.ndelta)
     return [(args.out, format_contour_csv(cg))]
 
 
 def _cmd_fig1(args):
-    panels = figure1(args.gamma, _optional_grid(args))
+    panels = figure1(args.gamma, _grid(args))
     outdir = Path(args.out)
     outputs = []
     for label, panel in zip("abcd", panels):
@@ -177,7 +174,7 @@ def _cmd_fig1(args):
 
 
 def _cmd_fig2(args):
-    result = figure2(_optional_grid(args), args.ndelta)
+    result = figure2(_grid(args), args.ndelta)
     outdir = Path(args.out)
     outputs = []
     for label, v in (("a", result.window), ("b", result.breit_wigner)):
@@ -196,7 +193,7 @@ def _cmd_fit(args):
 
 def _cmd_compare(args):
     m = load_model(args.model)
-    report = compare_representations(m, _grid_from_args(args))
+    report = compare_representations(m, _grid(args))
     return [(args.out, _json_text(report))]
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import _real, _times, scalarize
+from ._util import _count, _real, _times, scalarize
 from .errors import (
     EqualWidthsSingularity,
     NegativeAkError,
@@ -111,10 +111,8 @@ def _interfering_phase(m, k, energy):
 
 
 def _check_index(m, k):
-    if not isinstance(k, int) or isinstance(k, bool) or not 0 <= k < len(m.resonances):
-        raise ValidationError(
-            "resonance index must be an int in [0, %d), got %r" % (len(m.resonances), k)
-        )
+    if _count(k, "k", least=0) >= len(m.resonances):
+        raise ValidationError("k must be < %d, got %d" % (len(m.resonances), k))
 
 
 def fano_q_dynamic(m, k, energy):
@@ -142,7 +140,7 @@ def fano_cross_section_dynamic(m, k, energy):
     _check_index(m, k)
     eps = np.asarray(epsilon(m.resonances[k], energy))
     c, s = _interfering_phase(m, k, energy)
-    sigma = 4.0 * (eps * s - c) ** 2 / (eps * eps + 1.0)
+    sigma = 4.0 * np.square(eps * s - c) / (eps * eps + 1.0)
     return scalarize(sigma, energy)
 
 
@@ -181,8 +179,8 @@ def fano_cross_section_static(p, m, energy):
     e1 = np.asarray(epsilon(r1, energy))
     e2 = np.asarray(epsilon(r2, energy))
     sigma = (
-        p.sigma_a1 * ((p.q + e1) ** 2 + p.a1) / (e1 * e1 + 1.0)
-        + p.sigma_a2 * ((p.q + e2) ** 2 + p.a2) / (e2 * e2 + 1.0)
+        p.sigma_a1 * (np.square(p.q + e1) + p.a1) / (e1 * e1 + 1.0)
+        + p.sigma_a2 * (np.square(p.q + e2) + p.a2) / (e2 * e2 + 1.0)
         + p.sigma_b
     )
     return scalarize(sigma, energy)
@@ -209,8 +207,8 @@ def fano_cross_section_complex(p, cp, m, energy):
     e1 = np.asarray(epsilon(r1, energy))
     e2 = np.asarray(epsilon(r2, energy))
     sigma = (
-        p.sigma_a1 * np.abs(cp.q1 + e1) ** 2 / (e1 * e1 + 1.0)
-        + p.sigma_a2 * np.abs(cp.q2 + e2) ** 2 / (e2 * e2 + 1.0)
+        p.sigma_a1 * np.square(np.abs(cp.q1 + e1)) / (e1 * e1 + 1.0)
+        + p.sigma_a2 * np.square(np.abs(cp.q2 + e2)) / (e2 * e2 + 1.0)
         + p.sigma_b
     )
     return scalarize(sigma, energy)
@@ -270,5 +268,5 @@ def double_pole_fano(e_d, gamma_d, delta, energy):
     with np.errstate(divide="ignore", invalid="ignore"):
         tan = np.divide(s, c)
         q_d = 0.5 * (1.0 - eps * eps) * tan
-    sigma = 4.0 * (s * (1.0 - eps * eps) + 2.0 * eps * c) ** 2 / (eps * eps + 1.0) ** 2
+    sigma = 4.0 * np.square(s * (1.0 - eps * eps) + 2.0 * eps * c) / np.square(eps * eps + 1.0)
     return scalarize(q_d, energy), scalarize(sigma, energy)

@@ -11,7 +11,7 @@ uses analytic derivatives throughout.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -247,13 +247,7 @@ def fit_fano(trace, guess=None, *, max_iter=200, tol_step=1e-10, tol_grad=1e-12,
 
 
 def fit_result_to_dict(res):
-    return {
-        "model": {name: getattr(res.model, name) for name in _PARAM_NAMES},
-        "residual_norm": res.residual_norm,
-        "iterations": res.iterations,
-        "converged": res.converged,
-        "parameter_uncertainties": list(res.parameter_uncertainties),
-    }
+    return dict(asdict(res), parameter_uncertainties=list(res.parameter_uncertainties))
 
 
 def format_fit_json(res):

@@ -130,12 +130,6 @@ def model_to_dict(m):
     }
 
 
-def _require_number(value, field):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError("field %r must be a number, got %r" % (field, value))
-    return float(value)
-
-
 def model_from_dict(data):
     """Build a model from parsed JSON; missing fields are rejected, extra
     fields are tolerated."""
@@ -154,13 +148,8 @@ def model_from_dict(data):
         for field in ("position", "width"):
             if field not in entry:
                 raise ValidationError("resonance %d is missing field %r" % (i, field))
-        resonances.append(
-            Resonance(
-                _require_number(entry["position"], "position"),
-                _require_number(entry["width"], "width"),
-            )
-        )
-    return ScatteringModel(tuple(resonances), _require_number(data["delta"], "delta"))
+        resonances.append(Resonance(entry["position"], entry["width"]))
+    return ScatteringModel(tuple(resonances), data["delta"])
 
 
 def load_model(path):
@@ -170,7 +159,7 @@ def load_model(path):
         text = fh.read()
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as err:
+    except ValueError as err:  # JSONDecodeError, or an integer too long to parse
         raise ValidationError("model file %s is not valid JSON: %s" % (path, err)) from err
     return model_from_dict(data)
 

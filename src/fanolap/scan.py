@@ -179,7 +179,9 @@ def contour(m, g, delta_min, delta_max, n_delta, endpoint=True):
     delta_min = _real(delta_min, "delta_min")
     delta_max = _real(delta_max, "delta_max")
     if not delta_min < delta_max:
-        raise ValidationError("delta_min must be < delta_max")
+        raise ValidationError(
+            "delta_min must be < delta_max, got %r >= %r" % (delta_min, delta_max)
+        )
     n_delta = _count(n_delta, "n_delta")
     e = g.points()
     deltas = np.linspace(delta_min, delta_max, n_delta, endpoint=endpoint)

@@ -61,7 +61,7 @@ def s_unitary_product(m, energy):
     e = np.asarray(energy, dtype=float)
     # unnamed, so the starting array is freed once the first factor is applied
     s = _resonant_product(np.full(e.shape, np.exp(2j * m.delta), dtype=complex), m.resonances, e)
-    return scalarize(s, energy, complex)
+    return scalarize(s, energy)
 
 
 def _resonant_product(s, resonances, e):
@@ -133,7 +133,7 @@ def s_pole(m, energy, rep):
     else:
         u1, u2 = _w_dynamic_raw(r1.width, r2.width, ce1, ce2, e)
     s = 1.0 - 1j * (u1 / (e - ce1) + u2 / (e - ce2))
-    return scalarize(s, energy, complex)
+    return scalarize(s, energy)
 
 
 def _double_pole_args(e_d, gamma_d, delta):
@@ -155,12 +155,12 @@ def s_double_pole(e_d, gamma_d, delta, energy):
     d = e - e_d + 0.5j * gamma_d
     g = gamma_d / d
     s = np.exp(2j * delta) * (1.0 - 2j * g - g * g)
-    return scalarize(s, energy, complex)
+    return scalarize(s, energy)
 
 
 def cross_section(s):
     """sigma = |1 - S|^2 in units of the maximal single-channel value."""
-    return scalarize(np.abs(1.0 - np.asarray(s)) ** 2, s)
+    return scalarize(np.square(np.abs(1.0 - np.asarray(s))), s)
 
 
 def cross_section_noninteracting(m, energy):
@@ -172,5 +172,5 @@ def cross_section_noninteracting(m, energy):
     e = np.asarray(energy, dtype=float)
     total = np.zeros(e.shape)
     for r in m.resonances:
-        total = total + 4.0 * np.sin(m.delta + resonance_phase(r, e)) ** 2
+        total = total + 4.0 * np.square(np.sin(m.delta + resonance_phase(r, e)))
     return scalarize(total, energy)

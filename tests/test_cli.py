@@ -168,7 +168,8 @@ def test_qscan_bad_index(tmp_path, model_file, capsys):
         ]
     )
     assert code == 1
-    assert "ValidationError" in capsys.readouterr().err
+    assert capsys.readouterr().err == "ValidationError: k must be < 2, got 7\n"
+    assert not out.exists()
 
 
 def test_params_subcommand(tmp_path, model_file):
@@ -395,6 +396,34 @@ def test_corrupt_model_file_is_validation_error(tmp_path, capsys):
     )
     assert code == 1
     assert "ValidationError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("position, message", [
+    ('"1.5"', "position must be a real number, got '1.5'"),
+    ("true", "position must be a real number, got True"),
+    ("1" + "0" * 400, "position must be finite, got inf"),
+])
+def test_model_file_number_must_be_real(tmp_path, capsys, position, message):
+    path = tmp_path / "model.json"
+    path.write_text('{"resonances": [{"position": %s, "width": 1}], "delta": 0}' % position)
+    out = tmp_path / "t.csv"
+    code = run(["trace", "--model", str(path), "--emin", "-1", "--emax", "1", "--n", "5",
+                "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == "ValidationError: %s\n" % message
+    assert not out.exists()
+
+
+def test_model_file_with_an_overlong_integer_is_validation_error(tmp_path, capsys):
+    path = tmp_path / "model.json"
+    path.write_text('{"resonances": [], "delta": 1%s}' % ("0" * 5000))
+    out = tmp_path / "t.csv"
+    code = run(["trace", "--model", str(path), "--emin", "-1", "--emax", "1", "--n", "5",
+                "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ValidationError: model file ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_out_of_memory_is_a_one_line_diagnostic(tmp_path, model_file, monkeypatch, capsys):

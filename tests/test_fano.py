@@ -13,6 +13,7 @@ from fanolap import (
     ValidationError,
     breit_wigner_energy,
     cross_section,
+    cross_section_noninteracting,
     double_pole_fano,
     epsilon,
     fano,
@@ -56,6 +57,69 @@ def test_energy_value_independent_of_grid_size(evaluator):
         full = evaluator(m, e)
         assert full[:1000].tobytes() == evaluator(m, e[:1000]).tobytes()
         assert full[16383:16385].tobytes() == evaluator(m, e[16383:16385]).tobytes()
+
+
+def _pair(rng, delta=0.0):
+    p, w = rng.uniform(-3.0, 3.0, 2), rng.uniform(0.1, 3.0, 2)
+    return ScatteringModel((Resonance(p[0], w[0]), Resonance(p[1], w[1])), delta)
+
+
+def _dynamic_form(rng):
+    m = _pair(rng, rng.uniform(-2.0, 2.0))
+    return lambda e: fano_cross_section_dynamic(m, 1, e)
+
+
+def _static_form(rng):
+    m = _pair(rng)
+    p = fano_static_params(m)
+    return lambda e: fano_cross_section_static(p, m, e)
+
+
+def _complex_form(rng):
+    while True:  # the complex parameters need A_1, A_2 >= 0
+        m = _pair(rng)
+        p = fano_static_params(m)
+        if min(p.a1, p.a2) >= 0.0:
+            return lambda e: fano_cross_section_complex(p, fano_complex_params(p), m, e)
+
+
+def _double_pole_form(rng):
+    e_d, gamma_d, delta = rng.uniform(-3.0, 3.0), rng.uniform(0.1, 3.0), rng.uniform(-2.0, 2.0)
+    return lambda e: double_pole_fano(e_d, gamma_d, delta, e)[1]
+
+
+def _noninteracting_form(rng):
+    m = _pair(rng, rng.uniform(-2.0, 2.0))
+    return lambda e: cross_section_noninteracting(m, e)
+
+
+def _product_form(rng):
+    m = _pair(rng, rng.uniform(-2.0, 2.0))
+    return lambda e: cross_section(s_unitary_product(m, e))
+
+
+SIGMA_FORMS = {
+    "fano_cross_section_dynamic": _dynamic_form,
+    "fano_cross_section_static": _static_form,
+    "fano_cross_section_complex": _complex_form,
+    "double_pole_fano": _double_pole_form,
+    "cross_section_noninteracting": _noninteracting_form,
+    "cross_section": _product_form,
+}
+
+
+@pytest.mark.parametrize("name", sorted(SIGMA_FORMS))
+def test_scalar_energy_matches_grid_bitwise(name):
+    # a square written x ** 2 goes through pow on a 0-d operand but is
+    # squared on an array, and the two can round differently
+    rng = np.random.default_rng(5)
+    e = np.linspace(-6.0, 6.0, 101)
+    mismatches = []
+    for _ in range(100):
+        sigma = SIGMA_FORMS[name](rng)
+        grid = sigma(e)
+        mismatches += [(x, y) for x, y in zip(e.tolist(), grid.tolist()) if sigma(x) != y]
+    assert mismatches == []
 
 
 def test_static_params_frozen_values():
@@ -209,12 +273,25 @@ def test_q_dynamic_equals_eps2_at_zero_delta():
 
 
 def test_q_dynamic_index_validation():
-    with pytest.raises(ValidationError):
-        fano_q_dynamic(REF_MODEL, 2, 0.0)
-    with pytest.raises(ValidationError):
-        fano_q_dynamic(REF_MODEL, -1, 0.0)
-    with pytest.raises(ValidationError):
-        fano_q_dynamic(REF_MODEL, True, 0.0)
+    for k, message in [
+        (2, "k must be < 2, got 2"),
+        (np.int64(2), "k must be < 2, got 2"),
+        (-1, "k must be >= 0, got -1"),
+        (True, "k must be an integer, got True"),
+        (1.0, "k must be an integer, got 1.0"),
+    ]:
+        for entry in (fano_q_dynamic, fano_cross_section_dynamic):
+            with pytest.raises(ValidationError) as exc:
+                entry(REF_MODEL, k, 0.0)
+            assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("entry", [fano_q_dynamic, fano_cross_section_dynamic])
+def test_resonance_index_takes_numpy_integers(entry):
+    e = np.linspace(-3.0, 3.0, 61)
+    expected = entry(REF_MODEL, 1, e).tobytes()
+    for k in (np.int64(1), np.int32(1), np.uint8(1)):
+        assert entry(REF_MODEL, k, e).tobytes() == expected
 
 
 def _probe_model(eps2_at_zero, delta):

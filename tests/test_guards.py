@@ -134,8 +134,38 @@ def test_scalar_entry_points_reject_bad_values(field, positive, entry, value):
     assert str(exc.value) == "%s must be %s, got %r" % (field, rule, float(value))
 
 
+# a bool is an int to Python but never a number here; nothing is parsed
+NOT_REAL = (True, np.bool_(False), None, "1.5", 1 + 0j, np.array([1.0]), np.array(1.0))
+
+
+def _type_cases():
+    for i, (field, _, entry) in enumerate(SCALAR_ENTRY_POINTS):
+        for value in NOT_REAL:
+            yield pytest.param(field, entry, value, id="%d-%s-%r" % (i, field, value))
+
+
+@pytest.mark.parametrize("field, entry, value", _type_cases())
+def test_scalar_entry_points_reject_non_reals(field, entry, value):
+    with pytest.raises(ValidationError) as exc:
+        entry(value)
+    assert str(exc.value) == "%s must be a real number, got %r" % (field, value)
+
+
+@pytest.mark.parametrize("value", [5, -3.0, np.int64(5), np.float32(0.5), np.uint8(7)])
+def test_scalar_entry_points_take_python_and_numpy_reals(value):
+    r = Resonance(value, 1.0)
+    assert r.position == float(value) and type(r.position) is float
+
+
+def test_int_beyond_float_range_is_not_finite():
+    with pytest.raises(ValidationError) as exc:
+        Resonance(10 ** 400, 1.0)
+    assert str(exc.value) == "position must be finite, got inf"
+
+
 @pytest.mark.parametrize("max_iter, message", [
     (2.5, "max_iter must be an integer, got 2.5"),
+    (True, "max_iter must be an integer, got True"),
     (0, "max_iter must be >= 1, got 0"),
     (-3, "max_iter must be >= 1, got -3"),
 ])

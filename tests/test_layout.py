@@ -1,5 +1,6 @@
 """Package layout checks: one public namespace, one file writer, one
-scalar validator and one trace CSV header for the whole of ``src/fanolap``."""
+scalar validator, one trace CSV header and no power-of-two squares for the
+whole of ``src/fanolap``."""
 
 import ast
 import importlib
@@ -91,7 +92,9 @@ def test_trace_header_is_spelled_once():
 
 
 # the wording of _util._real and _util._count; a second validator would repeat it
-_SCALAR_RULE = re.compile(r"must be finite.*, got|must be >=")
+_SCALAR_RULE = re.compile(
+    r"must be finite.*, got|must be >=|must be a real number|must be an integer"
+)
 
 
 def test_only_util_validates_scalars():
@@ -102,3 +105,15 @@ def test_only_util_validates_scalars():
                 if _SCALAR_RULE.search(node.value):
                     hits.append(path.name)
     assert hits and set(hits) == {"_util.py"}, hits
+
+
+def test_no_square_is_written_as_a_power():
+    # x ** 2 goes through pow on a 0-d operand and is squared on an array,
+    # so a scalar energy could round differently from the same grid point
+    hits = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+                    and isinstance(node.right, ast.Constant) and node.right.value == 2):
+                hits.append("%s:%d" % (path.name, node.lineno))
+    assert hits == []

@@ -143,7 +143,7 @@ def test_grid_validation():
     with pytest.raises(ValidationError):
         EnergyGrid(0.0, math.inf, 10)
     # a count must be an integer; nothing is rounded or parsed
-    for bad in (2.7, 5.0, "5", math.nan, math.inf, np.float64(5.0), None):
+    for bad in (2.7, 5.0, "5", math.nan, math.inf, np.float64(5.0), None, True, np.True_):
         with pytest.raises(ValidationError, match="n_points must be an integer"):
             EnergyGrid(-1.0, 1.0, bad)
     for good in (5, np.int64(5), np.uint8(5)):
@@ -181,6 +181,22 @@ def test_dict_rejects_bool_numbers():
     d["delta"] = True
     with pytest.raises(ValidationError):
         model_from_dict(d)
+
+
+@pytest.mark.parametrize("data, message", [
+    ({"resonances": [{"position": "1", "width": 1}], "delta": 0},
+     "position must be a real number, got '1'"),
+    ({"resonances": [{"position": 1, "width": None}], "delta": 0},
+     "width must be a real number, got None"),
+    ({"resonances": [{"position": 1, "width": 1}], "delta": [0.5]},
+     "delta must be a real number, got [0.5]"),
+    # the resonances are checked before the background phase
+    ({"resonances": [], "delta": "x"}, "a model needs at least one resonance"),
+])
+def test_dict_numbers_use_the_shared_rule(data, message):
+    with pytest.raises(ValidationError) as exc:
+        model_from_dict(data)
+    assert str(exc.value) == message
 
 
 def test_file_round_trip(tmp_path):

@@ -132,8 +132,12 @@ def test_contour_grid_validation():
         )
     with pytest.raises(ValidationError):
         contour(TWO_RES, EnergyGrid(-1.0, 1.0, 5), 0.0, math.pi, 1)
-    with pytest.raises(ValidationError, match="n_delta must be an integer"):
-        contour(TWO_RES, EnergyGrid(-1.0, 1.0, 5), 0.0, math.pi, 2.9)
+    for n_delta in (2.9, True):
+        with pytest.raises(ValidationError, match="n_delta must be an integer"):
+            contour(TWO_RES, EnergyGrid(-1.0, 1.0, 5), 0.0, math.pi, n_delta)
+    with pytest.raises(ValidationError) as exc:
+        contour(TWO_RES, EnergyGrid(-1.0, 1.0, 5), 1.0, 0.5, 3)
+    assert str(exc.value) == "delta_min must be < delta_max, got 1.0 >= 0.5"
 
 
 @pytest.mark.parametrize("n_res", [2, 12])
