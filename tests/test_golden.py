@@ -1,9 +1,13 @@
-"""Golden SHA-256 digests of every file the CLI writes at small fixed sizes.
+"""Golden SHA-256 digests of every file the CLI writes at small fixed sizes,
+and of every per-energy evaluator on large grids.
 
 Each case runs one subcommand in-process and hashes every file it leaves
 in its output directory.  The digests pin the exact bytes: %.17g float
 formatting, JSON layout, operation order inside every formula, and the
-fitter's iteration path.  They were recorded with numpy 2.4.6 on Python
+fitter's iteration path.  The 41-point grids are smaller than any block
+of energies an evaluator works in, so the large-grid digests pin the
+arrays of each evaluator and of ``trace`` at sizes around and past powers
+of two, and one CLI trace file at 100003 points.  They were recorded with numpy 2.4.6 on Python
 3.11.7 (x86-64, glibc libm); another numpy, libm or BLAS may round a last
 digit differently.  A change to any digest must come with a CHANGES.md
 entry that says why the bytes moved.
@@ -14,7 +18,29 @@ import hashlib
 import numpy as np
 import pytest
 
-from fanolap import Resonance, ScatteringModel, save_model
+from fanolap import (
+    EnergyGrid,
+    FanoProfileModel,
+    Representation,
+    Resonance,
+    ScatteringModel,
+    cross_section_noninteracting,
+    double_pole_fano,
+    epsilon,
+    fano_complex_params,
+    fano_cross_section_complex,
+    fano_cross_section_dynamic,
+    fano_cross_section_static,
+    fano_q_dynamic,
+    fano_static_params,
+    predict,
+    resonance_phase,
+    s_double_pole,
+    s_pole,
+    s_unitary_product,
+    save_model,
+    trace,
+)
 from fanolap.cli import run
 
 from conftest import lcg_noise
@@ -60,6 +86,8 @@ CASES = {
     "fit": ["fit", "--data", "{data}", "--out", "{out}/f.json"],
     "compare": ["compare", "--model", "{m:two}", *GRID, "--out", "{out}/r.json"],
     "compare_degenerate": ["compare", "--model", "{m:deg}", *GRID, "--out", "{out}/r.json"],
+    "trace_large": ["trace", "--model", "{m:three}", "--emin", "-6", "--emax", "6",
+                    "--n", "100003", "--repr", "product", "--out", "{out}/t.csv"],
 }
 
 GOLDEN = {
@@ -88,6 +116,7 @@ GOLDEN = {
     "qscan_inf:q.csv": "88d24dd3ef49a8ffe5d4648a5cea86fbb4fe8292e711dec6856e7a13dab476fc",
     "trace_double:t.csv": "6efed7e17d8671a05e9f10793b781b603bac953c2310ff72b78892f4a13cf52a",
     "trace_dynamic:t.csv": "b0184205b16fd119d8a08a7fbabdedc26b7f622c874dce83e1642f51b31344d0",
+    "trace_large:t.csv": "3e6617d1156371f13b326faa37b616b5f3819e5f0c274f6ab91fd10e7139df25",
     "trace_product:t.csv": "a6755b8c036b9b742cc6f5ddeaf85b50ea6bf0be18a2c263abc284a1efda35c0",
     "trace_static:t.csv": "b25ed185839230e58b0c668f9bd366a7fa067bb161cf2e5e8bb2322f3595d5d3",
 }
@@ -139,3 +168,91 @@ def test_golden_covers_every_subcommand():
     assert commands == {"trace", "qscan", "params", "contour", "fig1", "fig2", "fit", "compare"}
     reprs = {argv[argv.index("--repr") + 1] for argv in CASES.values() if "--repr" in argv}
     assert reprs == {"product", "poles-static", "poles-dynamic", "double-pole"}
+
+
+TWO, THREE, ONE = MODELS["two"], MODELS["three"], MODELS["one"]
+TWELVE = ScatteringModel(
+    tuple(Resonance(p, w) for p, w in zip(np.linspace(-5.0, 5.0, 12).tolist(),
+                                          np.linspace(0.2, 3.0, 12).tolist())),
+    1.1,
+)
+P_TWO = fano_static_params(TWO)
+PROFILE = FanoProfileModel(q=2.0, e0=0.3, gamma=0.8, amplitude=1.5, offset=0.2)
+
+# sizes around and past powers of two, fixed whatever block size the
+# evaluators use
+LARGE_SIZES = (8191, 8192, 8193, 24577, 100003)
+
+
+def _trace_sigma(m, rep):
+    return lambda n: trace(m, EnergyGrid(-6.0, 6.0, n), rep).sigma
+
+
+def _on_grid(f):
+    return lambda n: f(np.linspace(-6.0, 6.0, n))
+
+
+# name -> n -> array; each digest covers the arrays of every size in turn
+LARGE = {
+    "epsilon": _on_grid(lambda e: epsilon(THREE.resonances[1], e)),
+    "resonance_phase": _on_grid(lambda e: resonance_phase(THREE.resonances[1], e)),
+    "s_unitary_product": _on_grid(lambda e: s_unitary_product(THREE, e)),
+    "s_unitary_product_12": _on_grid(lambda e: s_unitary_product(TWELVE, e)),
+    "s_pole_static": _on_grid(lambda e: s_pole(TWO, e, Representation.POLES_STATIC)),
+    "s_pole_dynamic": _on_grid(lambda e: s_pole(TWO, e, Representation.POLES_DYNAMIC)),
+    "s_double_pole": _on_grid(lambda e: s_double_pole(0.2, 0.8, 0.3, e)),
+    "cross_section_noninteracting": _on_grid(lambda e: cross_section_noninteracting(THREE, e)),
+    "fano_q_dynamic": _on_grid(lambda e: fano_q_dynamic(THREE, 1, e)),
+    "fano_q_dynamic_12": _on_grid(lambda e: fano_q_dynamic(TWELVE, 4, e)),
+    "fano_cross_section_dynamic": _on_grid(lambda e: fano_cross_section_dynamic(THREE, 1, e)),
+    "fano_cross_section_dynamic_12": _on_grid(
+        lambda e: fano_cross_section_dynamic(TWELVE, 4, e)),
+    "fano_cross_section_static": _on_grid(lambda e: fano_cross_section_static(P_TWO, TWO, e)),
+    "fano_cross_section_complex": _on_grid(
+        lambda e: fano_cross_section_complex(P_TWO, fano_complex_params(P_TWO), TWO, e)),
+    "double_pole_fano_q": _on_grid(lambda e: double_pole_fano(0.2, 0.8, 0.3, e)[0]),
+    "double_pole_fano_sigma": _on_grid(lambda e: double_pole_fano(0.2, 0.8, 0.3, e)[1]),
+    "predict": _on_grid(lambda e: predict(PROFILE, e)),
+    "trace_product": _trace_sigma(TWELVE, Representation.UNITARY_PRODUCT),
+    "trace_poles_static": _trace_sigma(TWO, Representation.POLES_STATIC),
+    "trace_poles_dynamic": _trace_sigma(TWO, Representation.POLES_DYNAMIC),
+    "trace_double_pole": _trace_sigma(ONE, Representation.DOUBLE_POLE),
+}
+
+LARGE_GOLDEN = {
+    "cross_section_noninteracting": "0d49176543c8b1e6a9712411501f76b22a356a6bca26596a657ad4ce8bda37e0",
+    "double_pole_fano_q": "da3368fa9e671e6fe728ee21ecd87fb8568d0072654f0f17a9dfe01cd275e385",
+    "double_pole_fano_sigma": "8482e240aec05708be203c5e1e1696fdba417a950e9de4e905ebfc45e7da1102",
+    "epsilon": "6aaca63ca91d72f0d05c2aaf4b39791c7a1bd15192a941d698786114cd67d7f2",
+    "fano_cross_section_complex": "b5f90e75a9c858dc06e9d17907ac661c00fe2170ffe277c9ac878c5fa5401a81",
+    "fano_cross_section_dynamic": "ff18fd72eb0e736e10beea067465f9630f16640ec120e3cdbae49426195243eb",
+    "fano_cross_section_dynamic_12": "2e8f820a5759f6ae833fe6ebb918cf3a920c14efa13e6a394d6135eaaa3e02a6",
+    "fano_cross_section_static": "28988e937e271a0f94fa9dee5126b8a437918fe21ef4765340dd3a74e6fd3e79",
+    "fano_q_dynamic": "e428f302ca0954d477aca432291bb4bce5f32eb1a75c06100d817eef56e5546e",
+    "fano_q_dynamic_12": "1fb85220322f414d92e3f7adf4958b60a890e502fdf55ad6bdc78d1068cc8357",
+    "predict": "b379296cda0d2df3c9e0e79b80c64a50708fc9073679953662100becd20a9bf8",
+    "resonance_phase": "62ec36a791ef85141abd0ee0d9d2f1dc11f8a6ed8b8d8deff680b3aa41c980b2",
+    "s_double_pole": "d0fc54a5b5a1d48d697e8591299beaa37012a5538d5f6e1f615ae3a9f6994444",
+    "s_pole_dynamic": "f8391855bd08ceb9def07498ea3131444ec9fa97763b863107825a77b20fa14a",
+    "s_pole_static": "f5478115b88048682478a52bb3ae434a4ffbaea4c689e8dcad9315ee781f9beb",
+    "s_unitary_product": "fe33e246b71a8272cbe9c2e3658c97855e94c17ff94290581e26adb16c252f3f",
+    "s_unitary_product_12": "177e3858914338bd3d2a7413884a17ffb0fd3b004aa62e9f3abea3a98fb73626",
+    "trace_double_pole": "79482f7404bf93da04d95aaabd7d719a6e2346cf247917cfac177a4b7da8d59b",
+    "trace_poles_dynamic": "86d790c6e2aaeea90a5e711d430dbf1899bb25e1df3202dc74bd5fc8def8e77b",
+    "trace_poles_static": "b9fb929a3075735a4d819303233fece0c9259b76ac9699a806de2ec5cdc08cec",
+    "trace_product": "b4c2b0b73535b2c7fbcad1d03b8d97e91746fa0248d8ba53efc37a6bf9223b1b",
+}
+
+
+def _large_digest(name):
+    h = hashlib.sha256()
+    for n in LARGE_SIZES:
+        out = LARGE[name](n)
+        assert out.shape == (n,)
+        h.update(np.ascontiguousarray(out).tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(LARGE))
+def test_large_grid_outputs(name):
+    assert _large_digest(name) == LARGE_GOLDEN[name]
