@@ -44,23 +44,33 @@ def _count(value, field, least=2):
     return n
 
 
-def scalarize(values, like):
-    """Return a Python float or complex when the caller passed a scalar energy.
+# energies per block of _pointwise: a block's complex temporaries stay in L2
+_BLOCK = 1 << 13
 
-    ``like`` is the original argument; array-like input passes through as an
-    ndarray so every evaluator works transparently on grids.
-    """
-    arr = np.asarray(values)
-    if np.ndim(like) == 0:
-        return arr.item()
-    return arr
+
+def _pointwise(kernel, energy, dtype=float):
+    """kernel(e) for an elementwise kernel of a float array, applied to
+    the energies one block of _BLOCK at a time into one output of ``dtype``.
+    A scalar energy is evaluated as a one-point grid and gives a Python
+    scalar, so every energy gets the same bits on any grid or on its own."""
+    e = np.asarray(energy, dtype=float)
+    if e.ndim == 0:
+        return kernel(e.reshape(1))[0].item()
+    if e.size <= _BLOCK:
+        return kernel(e)
+    flat = e.reshape(-1)
+    out = np.empty(flat.size, dtype)
+    for i in range(0, flat.size, _BLOCK):
+        out[i:i + _BLOCK] = kernel(flat[i:i + _BLOCK])
+    return out.reshape(e.shape)
 
 
 def _times(z, f):
     """z * f (z an array or numpy scalar) with z first on every grid size.
     numpy evaluates z * f as f * z where it can reuse a temporary f, and its
-    complex multiply is not bitwise commutative; so f is reused here."""
-    out = f if isinstance(f, np.ndarray) and f.shape == z.shape else None
+    complex multiply is not bitwise commutative; so f is reused here, except
+    for one element, where an aliased output takes another rounding path."""
+    out = f if isinstance(f, np.ndarray) and f.shape == z.shape and f.size > 1 else None
     return np.multiply(z, f, out)
 
 

@@ -16,14 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import _count, _real, _times, scalarize
+from ._util import _count, _pointwise, _real, _times
 from .errors import (
     EqualWidthsSingularity,
     NegativeAkError,
     NoFiniteSolution,
     ValidationError,
 )
-from .model import _eps, _require_two_zero_delta, _two_resonances, epsilon
+from .model import _eps, _require_two_zero_delta, _two_resonances
 from .smatrix import _check_not_degenerate, _double_pole_args
 
 __all__ = [
@@ -93,14 +93,13 @@ class ComplexFanoParams:
             raise ValidationError("imaginary parts must be non-negative")
 
 
-def _interfering_phase(m, k, energy):
+def _interfering_phase(m, k, e):
     """cos and sin of delta plus the phases of all resonances other than k.
 
     Accumulated as a product of unit complex numbers, using that each
     resonance contributes exp(i*phase) = (eps - i)/sqrt(eps^2 + 1); this
     avoids arccot/trig round trips and keeps the pair exactly unimodular.
     """
-    e = np.asarray(energy, dtype=float)
     z = np.full(e.shape, np.exp(1j * m.delta), dtype=complex)
     for index, r in enumerate(m.resonances):
         if index == k:
@@ -123,10 +122,11 @@ def fano_q_dynamic(m, k, energy):
     result (the resonance looks like a symmetric peak there).
     """
     _check_index(m, k)
-    c, s = _interfering_phase(m, k, energy)
+    def kernel(e):
+        c, s = _interfering_phase(m, k, e)
+        return -c / s
     with np.errstate(divide="ignore"):
-        q = -np.asarray(c) / np.asarray(s)
-    return scalarize(q, energy)
+        return _pointwise(kernel, energy)
 
 
 def fano_cross_section_dynamic(m, k, energy):
@@ -138,10 +138,12 @@ def fano_cross_section_dynamic(m, k, energy):
     finite where q_k(E) diverges.
     """
     _check_index(m, k)
-    eps = np.asarray(epsilon(m.resonances[k], energy))
-    c, s = _interfering_phase(m, k, energy)
-    sigma = 4.0 * np.square(eps * s - c) / (eps * eps + 1.0)
-    return scalarize(sigma, energy)
+    r = m.resonances[k]
+    def kernel(e):
+        eps = _eps(e, r.position, r.width)
+        c, s = _interfering_phase(m, k, e)
+        return 4.0 * np.square(eps * s - c) / (eps * eps + 1.0)
+    return _pointwise(kernel, energy)
 
 
 def fano_static_params(m):
@@ -176,14 +178,14 @@ def fano_cross_section_static(p, m, energy):
     Equals the product-form |1 - S|^2 for the model the parameters came from.
     """
     r1, r2 = _two_resonances(m, "fano_cross_section_static")
-    e1 = np.asarray(epsilon(r1, energy))
-    e2 = np.asarray(epsilon(r2, energy))
-    sigma = (
-        p.sigma_a1 * (np.square(p.q + e1) + p.a1) / (e1 * e1 + 1.0)
-        + p.sigma_a2 * (np.square(p.q + e2) + p.a2) / (e2 * e2 + 1.0)
-        + p.sigma_b
-    )
-    return scalarize(sigma, energy)
+    def kernel(e):
+        e1, e2 = _eps(e, r1.position, r1.width), _eps(e, r2.position, r2.width)
+        return (
+            p.sigma_a1 * (np.square(p.q + e1) + p.a1) / (e1 * e1 + 1.0)
+            + p.sigma_a2 * (np.square(p.q + e2) + p.a2) / (e2 * e2 + 1.0)
+            + p.sigma_b
+        )
+    return _pointwise(kernel, energy)
 
 
 def fano_complex_params(p):
@@ -204,14 +206,14 @@ def fano_cross_section_complex(p, cp, m, energy):
     this is an independent route to fano_cross_section_static.
     """
     r1, r2 = _two_resonances(m, "fano_cross_section_complex")
-    e1 = np.asarray(epsilon(r1, energy))
-    e2 = np.asarray(epsilon(r2, energy))
-    sigma = (
-        p.sigma_a1 * np.square(np.abs(cp.q1 + e1)) / (e1 * e1 + 1.0)
-        + p.sigma_a2 * np.square(np.abs(cp.q2 + e2)) / (e2 * e2 + 1.0)
-        + p.sigma_b
-    )
-    return scalarize(sigma, energy)
+    def kernel(e):
+        e1, e2 = _eps(e, r1.position, r1.width), _eps(e, r2.position, r2.width)
+        return (
+            p.sigma_a1 * np.square(np.abs(cp.q1 + e1)) / (e1 * e1 + 1.0)
+            + p.sigma_a2 * np.square(np.abs(cp.q2 + e2)) / (e2 * e2 + 1.0)
+            + p.sigma_b
+        )
+    return _pointwise(kernel, energy)
 
 
 def window_energy(m):
@@ -262,11 +264,17 @@ def double_pole_fano(e_d, gamma_d, delta, energy):
     Returns the pair (q_d, sigma).
     """
     e_d, gamma_d, delta = _double_pole_args(e_d, gamma_d, delta)
-    eps = _eps(np.asarray(energy, dtype=float), e_d, gamma_d)
     s = math.sin(delta)
     c = math.cos(delta)
+    def q_d(e):
+        eps = _eps(e, e_d, gamma_d)
+        return 0.5 * (1.0 - eps * eps) * tan
+
+    def sigma(e):
+        eps = _eps(e, e_d, gamma_d)
+        x = eps * eps
+        return 4.0 * np.square(s * (1.0 - x) + 2.0 * eps * c) / np.square(x + 1.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         tan = np.divide(s, c)
-        q_d = 0.5 * (1.0 - eps * eps) * tan
-    sigma = 4.0 * np.square(s * (1.0 - eps * eps) + 2.0 * eps * c) / np.square(eps * eps + 1.0)
-    return scalarize(q_d, energy), scalarize(sigma, energy)
+        q = _pointwise(q_d, energy)
+    return q, _pointwise(sigma, energy)

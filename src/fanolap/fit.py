@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ._util import _count, _json_text, _real, scalarize
+from ._util import _count, _json_text, _pointwise, _real
 from .errors import BadInitialGuess, InsufficientData
 from .model import _eps
 # read_trace_csv lives with the trace CSV writer; it stays public here too
@@ -76,8 +76,7 @@ def _profile(q, e0, gamma, a, b, e):
 
 def predict(p, energy):
     """Evaluate the profile at the given energies."""
-    e = np.asarray(energy, dtype=float)
-    return scalarize(_profile(p.q, p.e0, p.gamma, p.amplitude, p.offset, e), energy)
+    return _pointwise(lambda e: _profile(p.q, p.e0, p.gamma, p.amplitude, p.offset, e), energy)
 
 
 def _pack(p):

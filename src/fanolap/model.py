@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import _count, _json_text, _real, _write_all, scalarize
+from ._util import _count, _json_text, _pointwise, _real, _write_all
 from .errors import ValidationError
 
 __all__ = [
@@ -92,7 +92,7 @@ def _eps(e, position, width):
 
 def epsilon(r, energy):
     """Reduced energy 2*(E - position)/width measured from the resonance."""
-    return scalarize(_eps(np.asarray(energy, dtype=float), r.position, r.width), energy)
+    return _pointwise(lambda e: _eps(e, r.position, r.width), energy)
 
 
 def resonance_phase(r, energy):
@@ -101,8 +101,7 @@ def resonance_phase(r, energy):
     The arccot branch is taken on (0, pi), i.e. arccot(x) = pi/2 - arctan(x),
     so the phase passes -pi/2 exactly at the resonance position.
     """
-    eps = _eps(np.asarray(energy, dtype=float), r.position, r.width)
-    return scalarize(np.arctan(eps) - 0.5 * np.pi, energy)
+    return _pointwise(lambda e: np.arctan(_eps(e, r.position, r.width)) - 0.5 * np.pi, energy)
 
 
 def _two_resonances(m, context):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import _count, _real, _write_all
+from ._util import _count, _pointwise, _real, _write_all
 from .errors import DoublePoleSingularity, ValidationError
 from .model import (
     EnergyGrid,
@@ -158,9 +158,9 @@ def trace(m, g, rep):
     """
     e = g.points()
     if rep is Representation.UNITARY_PRODUCT:
-        sigma = cross_section(s_unitary_product(m, e))
+        s_of = lambda x: s_unitary_product(m, x)
     elif rep in (Representation.POLES_STATIC, Representation.POLES_DYNAMIC):
-        sigma = cross_section(s_pole(m, e, rep))
+        s_of = lambda x: s_pole(m, x, rep)
     elif rep is Representation.DOUBLE_POLE:
         if len(m.resonances) != 1:
             raise ValidationError(
@@ -168,9 +168,11 @@ def trace(m, g, rep):
                 "as the degenerate pole, got %d resonances" % len(m.resonances)
             )
         r = m.resonances[0]
-        sigma = cross_section(s_double_pole(r.position, r.width, m.delta, e))
+        s_of = lambda x: s_double_pole(r.position, r.width, m.delta, x)
     else:
         raise ValidationError("unknown representation %r" % (rep,))
+    # S of one block at a time, so no grid-sized S array is built
+    sigma = _pointwise(lambda x: cross_section(s_of(x)), e)
     return CrossSectionTrace(e, sigma, TraceMeta(rep.value, m.delta, m))
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import _real, _times, scalarize
+from ._util import _pointwise, _real, _times
 from .errors import DoublePoleSingularity, ValidationError
 from .model import _require_two_zero_delta, complex_energy, resonance_phase
 
@@ -58,10 +58,10 @@ def s_unitary_product(m, energy):
 
     Exactly unimodular for real E and any number of resonances.
     """
-    e = np.asarray(energy, dtype=float)
+    phase = np.exp(2j * m.delta)
     # unnamed, so the starting array is freed once the first factor is applied
-    s = _resonant_product(np.full(e.shape, np.exp(2j * m.delta), dtype=complex), m.resonances, e)
-    return scalarize(s, energy)
+    return _pointwise(lambda e: _resonant_product(
+        np.full(e.shape, phase, dtype=complex), m.resonances, e), energy, complex)
 
 
 def _resonant_product(s, resonances, e):
@@ -125,15 +125,12 @@ def s_pole(m, energy, rep):
     if rep not in (Representation.POLES_STATIC, Representation.POLES_DYNAMIC):
         raise ValidationError("s_pole supports the pole representations, got %r" % (rep,))
     r1, r2 = _require_two_zero_delta(m, "s_pole")
-    e = np.asarray(energy, dtype=float)
     ce1, ce2 = complex_energy(r1), complex_energy(r2)
-    if rep is Representation.POLES_STATIC:
-        pair = coupling_w_static(m)
-        u1, u2 = pair.w1, pair.w2
-    else:
-        u1, u2 = _w_dynamic_raw(r1.width, r2.width, ce1, ce2, e)
-    s = 1.0 - 1j * (u1 / (e - ce1) + u2 / (e - ce2))
-    return scalarize(s, energy)
+    pair = coupling_w_static(m) if rep is Representation.POLES_STATIC else None
+    def kernel(e):
+        u1, u2 = (pair.w1, pair.w2) if pair else _w_dynamic_raw(r1.width, r2.width, ce1, ce2, e)
+        return 1.0 - 1j * (u1 / (e - ce1) + u2 / (e - ce2))
+    return _pointwise(kernel, energy, complex)
 
 
 def _double_pole_args(e_d, gamma_d, delta):
@@ -151,16 +148,17 @@ def s_double_pole(e_d, gamma_d, delta, energy):
     stays exactly unimodular for real E.
     """
     e_d, gamma_d, delta = _double_pole_args(e_d, gamma_d, delta)
-    e = np.asarray(energy, dtype=float)
-    d = e - e_d + 0.5j * gamma_d
-    g = gamma_d / d
-    s = np.exp(2j * delta) * (1.0 - 2j * g - g * g)
-    return scalarize(s, energy)
+    phase = np.exp(2j * delta)
+    def kernel(e):
+        g = gamma_d / (e - e_d + 0.5j * gamma_d)
+        return phase * (1.0 - 2j * g - g * g)
+    return _pointwise(kernel, energy, complex)
 
 
 def cross_section(s):
     """sigma = |1 - S|^2 in units of the maximal single-channel value."""
-    return scalarize(np.square(np.abs(1.0 - np.asarray(s))), s)
+    sigma = np.square(np.abs(1.0 - np.asarray(s)))
+    return sigma if sigma.ndim else sigma.item()
 
 
 def cross_section_noninteracting(m, energy):
@@ -169,8 +167,9 @@ def cross_section_noninteracting(m, energy):
     Adds each resonance's isolated cross section, ignoring interference, so
     it may exceed the single-channel bound of 4.
     """
-    e = np.asarray(energy, dtype=float)
-    total = np.zeros(e.shape)
-    for r in m.resonances:
-        total = total + 4.0 * np.square(np.sin(m.delta + resonance_phase(r, e)))
-    return scalarize(total, energy)
+    def kernel(e):
+        total = np.zeros(e.shape)
+        for r in m.resonances:
+            total = total + 4.0 * np.square(np.sin(m.delta + resonance_phase(r, e)))
+        return total
+    return _pointwise(kernel, energy)

@@ -6,8 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from fanolap import (
     DoublePoleSingularity,
+    EnergyGrid,
     EqualWidthsSingularity,
     NegativeAkError,
+    Representation,
     Resonance,
     ScatteringModel,
     ValidationError,
@@ -25,9 +27,12 @@ from fanolap import (
     fano_static_params,
     resonance_phase,
     s_double_pole,
+    s_pole,
     s_unitary_product,
+    trace,
     window_energy,
 )
+from fanolap._util import _BLOCK
 
 # widths 1 and 3 at positions 0 and 1: every parameter comes out rational
 REF_MODEL = ScatteringModel((Resonance(0.0, 1.0), Resonance(1.0, 3.0)))
@@ -37,16 +42,62 @@ FIG2A = ScatteringModel(
 GRID = np.linspace(-6.0, 6.0, 4001)
 
 
-@pytest.mark.parametrize("evaluator", [
-    s_unitary_product,
-    lambda m, e: fano_q_dynamic(m, 0, e),
-    lambda m, e: fano_cross_section_dynamic(m, 0, e),
-], ids=["s_unitary_product", "fano_q_dynamic", "fano_cross_section_dynamic"])
-def test_energy_value_independent_of_grid_size(evaluator):
-    # numpy reorders the operands of z * f on large temporaries, and its
-    # complex multiply is not bitwise commutative
+def _s_of(m, rep, x):
+    """S of a model in a representation; the pole forms take the first two
+    resonances at zero background, the double pole the first resonance."""
+    if rep is Representation.UNITARY_PRODUCT:
+        return s_unitary_product(m, x)
+    if rep is Representation.DOUBLE_POLE:
+        r = m.resonances[0]
+        return s_double_pole(r.position, r.width, m.delta, x)
+    return s_pole(ScatteringModel(m.resonances[:2]), x, rep)
+
+
+def _trace_model(m, rep):
+    if rep is Representation.DOUBLE_POLE:
+        return ScatteringModel(m.resonances[:1], m.delta)
+    if rep is Representation.UNITARY_PRODUCT:
+        return m
+    return ScatteringModel(m.resonances[:2])
+
+
+def _pointwise_case(f):
+    return (lambda m, g: f(m, g.points())), f
+
+
+def _trace_case(rep):
+    return ((lambda m, g: trace(_trace_model(m, rep), g, rep).sigma),
+            (lambda m, x: cross_section(_s_of(m, rep, x))))
+
+
+# name -> (value on an EnergyGrid, value at an energy or array of energies)
+GRID_CASES = {
+    "s_unitary_product": _pointwise_case(s_unitary_product),
+    "fano_q_dynamic": _pointwise_case(lambda m, e: fano_q_dynamic(m, 0, e)),
+    "fano_cross_section_dynamic": _pointwise_case(
+        lambda m, e: fano_cross_section_dynamic(m, 0, e)),
+    "s_double_pole": _pointwise_case(
+        lambda m, e: _s_of(m, Representation.DOUBLE_POLE, e)),
+    "s_pole_static": _pointwise_case(
+        lambda m, e: _s_of(m, Representation.POLES_STATIC, e)),
+    "s_pole_dynamic": _pointwise_case(
+        lambda m, e: _s_of(m, Representation.POLES_DYNAMIC, e)),
+    "cross_section_noninteracting": _pointwise_case(cross_section_noninteracting),
+    **{"trace_" + rep.value: _trace_case(rep) for rep in Representation},
+}
+
+
+@pytest.mark.parametrize("name", sorted(GRID_CASES))
+def test_energy_value_independent_of_grid_size(name):
+    # numpy's complex multiply is not bitwise commutative, rounds a 0-d or an
+    # aliased one-element product differently, and evaluation runs in
+    # blocks; an energy must get the same bits on a grid, a prefix, a
+    # slice of one or two, and on its own, on both sides of block seams
+    on_grid, at = GRID_CASES[name]
     rng = np.random.default_rng(11)
-    e = np.linspace(-6.0, 6.0, 40000)
+    g = EnergyGrid(-6.0, 6.0, 3 * _BLOCK + 5)
+    e = g.points()
+    seams = [j * _BLOCK + d for j in (1, 2, 3) for d in (-1, 0)]
     for _ in range(5):
         n = int(rng.integers(2, 13))
         m = ScatteringModel(
@@ -54,9 +105,14 @@ def test_energy_value_independent_of_grid_size(evaluator):
                                                   rng.uniform(0.1, 3.0, n))),
             float(rng.uniform(-2.0, 2.0)),
         )
-        full = evaluator(m, e)
-        assert full[:1000].tobytes() == evaluator(m, e[:1000]).tobytes()
-        assert full[16383:16385].tobytes() == evaluator(m, e[16383:16385]).tobytes()
+        full = on_grid(m, g)
+        assert full.shape == e.shape
+        assert full[:1000].tobytes() == at(m, e[:1000]).tobytes()
+        assert full[16383:16385].tobytes() == at(m, e[16383:16385]).tobytes()
+        picks = seams + [e.size - 1] + rng.integers(0, e.size, 20).tolist()
+        for i in picks:
+            assert at(m, e[i:i + 1]).tobytes() == full[i:i + 1].tobytes(), i
+            assert np.array(at(m, float(e[i]))).tobytes() == full[i:i + 1].tobytes(), i
 
 
 def _pair(rng, delta=0.0):

@@ -1,6 +1,6 @@
 """Package layout checks: one public namespace, one file writer, one
-scalar validator, one trace CSV header and no power-of-two squares for the
-whole of ``src/fanolap``."""
+scalar validator, one per-energy evaluation, one trace CSV header and no
+power-of-two squares for the whole of ``src/fanolap``."""
 
 import ast
 import importlib
@@ -105,6 +105,47 @@ def test_only_util_validates_scalars():
                 if _SCALAR_RULE.search(node.value):
                     hits.append(path.name)
     assert hits and set(hits) == {"_util.py"}, hits
+
+
+def _energy_handling(tree):
+    """(line, what) for each np.asarray of `energy`, each use of _BLOCK, and
+    each function taking `energy` that hands it to neither _pointwise nor
+    _real."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id == "_BLOCK":
+            found.append((node.lineno, "_BLOCK"))
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "asarray" and node.args
+              and isinstance(node.args[0], ast.Name) and node.args[0].id == "energy"):
+            found.append((node.lineno, "np.asarray(energy)"))
+        elif (isinstance(node, ast.FunctionDef)
+              and "energy" in [a.arg for a in node.args.args]):
+            handed = any(
+                isinstance(call, ast.Call)
+                and getattr(call.func, "id", None) in ("_pointwise", "_real")
+                and any(isinstance(a, ast.Name) and a.id == "energy" for a in call.args)
+                for call in ast.walk(node)
+            )
+            if not handed:
+                found.append((node.lineno, "%s keeps its energy" % node.name))
+    return found
+
+
+def test_only_util_evaluates_energies():
+    # _util._pointwise is the one home of per-energy evaluation: it alone
+    # converts the energies and walks the blocks, so every evaluator gives
+    # the same bits for an energy on any grid, slice or on its own
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "_util.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        offenders += ["%s:%d %s" % (path.name, line, what)
+                      for line, what in _energy_handling(tree)]
+    assert offenders == []
+    util = ast.parse((SRC / "_util.py").read_text(encoding="utf-8"))
+    assert {"_BLOCK", "np.asarray(energy)"} <= {what for _, what in _energy_handling(util)}
 
 
 def test_no_square_is_written_as_a_power():
