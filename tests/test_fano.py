@@ -42,23 +42,24 @@ FIG2A = ScatteringModel(
 GRID = np.linspace(-6.0, 6.0, 4001)
 
 
-def _s_of(m, rep, x):
-    """S of a model in a representation; the pole forms take the first two
+def _model_for(m, rep):
+    """The model a representation takes: the pole forms the first two
     resonances at zero background, the double pole the first resonance."""
+    if rep is Representation.UNITARY_PRODUCT:
+        return m
+    if rep is Representation.DOUBLE_POLE:
+        return ScatteringModel(m.resonances[:1], m.delta)
+    return ScatteringModel(m.resonances[:2])
+
+
+def _s_of(m, rep, x):
+    m = _model_for(m, rep)
     if rep is Representation.UNITARY_PRODUCT:
         return s_unitary_product(m, x)
     if rep is Representation.DOUBLE_POLE:
         r = m.resonances[0]
         return s_double_pole(r.position, r.width, m.delta, x)
-    return s_pole(ScatteringModel(m.resonances[:2]), x, rep)
-
-
-def _trace_model(m, rep):
-    if rep is Representation.DOUBLE_POLE:
-        return ScatteringModel(m.resonances[:1], m.delta)
-    if rep is Representation.UNITARY_PRODUCT:
-        return m
-    return ScatteringModel(m.resonances[:2])
+    return s_pole(m, x, rep)
 
 
 def _pointwise_case(f):
@@ -66,7 +67,7 @@ def _pointwise_case(f):
 
 
 def _trace_case(rep):
-    return ((lambda m, g: trace(_trace_model(m, rep), g, rep).sigma),
+    return ((lambda m, g: trace(_model_for(m, rep), g, rep).sigma),
             (lambda m, x: cross_section(_s_of(m, rep, x))))
 
 
