@@ -7,7 +7,10 @@ formatting, JSON layout, operation order inside every formula, and the
 fitter's iteration path.  The 41-point grids are smaller than any block
 of energies an evaluator works in, so the large-grid digests pin the
 arrays of each evaluator and of ``trace`` at sizes around and past powers
-of two, and one CLI trace file at 100003 points.  They were recorded with numpy 2.4.6 on Python
+of two, and CLI outputs at the sizes the benchmark writes (a 100003-point
+trace, a 100001-point qscan, a 1001 x 181 contour and the default fig2).
+One more digest pins every CSV writer on doubles of every formatting
+class.  They were recorded with numpy 2.4.6 on Python
 3.11.7 (x86-64, glibc libm); another numpy, libm or BLAS may round a last
 digit differently.  A change to any digest must come with a CHANGES.md
 entry that says why the bytes moved.
@@ -42,8 +45,16 @@ from fanolap import (
     trace,
 )
 from fanolap.cli import run
+from fanolap.scan import (
+    ContourGrid,
+    CrossSectionTrace,
+    TraceMeta,
+    _format_columns,
+    format_contour_csv,
+    format_trace_csv,
+)
 
-from conftest import lcg_noise
+from conftest import float_classes, lcg_noise, lcg_stream
 
 MODELS = {
     "two": ScatteringModel((Resonance(0.0, 1.0), Resonance(1.0, 3.0))),
@@ -88,12 +99,26 @@ CASES = {
     "compare_degenerate": ["compare", "--model", "{m:deg}", *GRID, "--out", "{out}/r.json"],
     "trace_large": ["trace", "--model", "{m:three}", "--emin", "-6", "--emax", "6",
                     "--n", "100003", "--repr", "product", "--out", "{out}/t.csv"],
+    "qscan_large": ["qscan", "--model", "{m:three}", "--k", "1", "--emin", "-6", "--emax", "6",
+                    "--n", "100001", "--out", "{out}/q.csv"],
+    "contour_large": ["contour", "--model", "{m:two}", "--emin", "-3", "--emax", "4",
+                      "--n", "1001", "--ndelta", "181", "--out", "{out}/c.csv"],
+    "fig2_default": ["fig2", "--out", "{out}"],
 }
 
 GOLDEN = {
     "compare:r.json": "e8a22ac8ba7b2043cb479b4639f6243d41014fc817bf0da23a59a45a8cfa385f",
     "compare_degenerate:r.json": "2203f110e29e12666d5261ada896798bc294bf04dddd39f5df98e34e94ddab63",
     "contour:c.csv": "12c3b00a3549c59ba414814dc9017970736711ddcd9c67d3fbf5d50deb8421b2",
+    "contour_large:c.csv": "43a38466695fc5b0e11657b06b49414fa05bc260f73c0333f566cc1a25baad4b",
+    "fig2_default:fig2_contour.csv": "2673c14b6acf018a605efd98a5de29f4288d14bb97c8ba99ce827af5fad07b19",
+    "fig2_default:fig2a_delta0.csv": "adb82147ff6d14868afc3bdcd981c85ce08e6799be86db8544db859e126704e8",
+    "fig2_default:fig2a_minus.csv": "118f2aec5cf8d2c8b44c89cd4e6cdf308b2b6b514f32cfa5ad0ef4400a9af8b5",
+    "fig2_default:fig2a_plus.csv": "0771349bc5110a9a98b318ce2de4635394d1f3378cfa5b07acb9e10d8a8cc24d",
+    "fig2_default:fig2b_delta0.csv": "74b95598ab6a2fcc557c020c61b951f652ed903aaaea8348c56bc42373fa362e",
+    "fig2_default:fig2b_minus.csv": "bc3b1382c5f5278dcfa64452b8b9f789487335e059591bb83a2d95f2982d3e46",
+    "fig2_default:fig2b_plus.csv": "5392a21ed91e83d722f213631c4958aa5da73f0822e850c0e57d42ed91178ac1",
+    "qscan_large:q.csv": "ad8d8f2f96241e7176199751bb3580e59d7ce4a3a46e50729831e7c7b614516a",
     "fig1:fig1a_dashed.csv": "04e0036b7cd2ba52033810b441e2c722bc480256cbf1c1c8d751bd0e03da9f0e",
     "fig1:fig1a_full.csv": "be2cbaa2886f9663337ed99f906ec632f118d8482a2d2b7f7e7aa5cb7b3f7eeb",
     "fig1:fig1b_dashed.csv": "eaebdc673cb5ec2cad8915f4820723776fe4a9172c5001e161560d235389d667",
@@ -256,3 +281,32 @@ def _large_digest(name):
 @pytest.mark.parametrize("name", sorted(LARGE))
 def test_large_grid_outputs(name):
     assert _large_digest(name) == LARGE_GOLDEN[name]
+
+
+FORMATTER_GOLDEN = "ee688fa34b577ce9ec3e037ffb77c94e2dcb081127a163c5e7332a66a26d9df0"
+
+
+def _formatter_digest():
+    """Every CSV writer on doubles of every formatting class: +-0, the
+    neighbours of 1e-4 and 1e15, dyadic ties, nan, inf and subnormals, in
+    row counts that cross every block boundary of the writer."""
+    v = float_classes(lcg_stream(17, 100000))
+    finite = v[np.isfinite(v)]
+    energies = np.unique(finite)
+    sigma = np.abs(finite[: energies.size])
+    n = v.size // 2
+    texts = [
+        _format_columns("energy,q", v[:n], v[n:2 * n]),
+        _format_columns("h", v[:10001], v[10001:10001 * 7].reshape(10001, 6)),
+        format_trace_csv(CrossSectionTrace(energies, sigma, TraceMeta("crafted"))),
+        format_contour_csv(ContourGrid(finite[:3001], finite[3001:3021],
+                                       np.fmod(sigma[:20 * 3001], 4.0).reshape(20, 3001))),
+    ]
+    h = hashlib.sha256()
+    for text in texts:
+        h.update(text.encode("ascii"))
+    return h.hexdigest()
+
+
+def test_formatter_output():
+    assert _formatter_digest() == FORMATTER_GOLDEN
