@@ -48,9 +48,9 @@ def _count(value, field, least=2):
 _BLOCK = 1 << 13
 
 
-def _pointwise(kernel, energy, dtype=float):
-    """kernel(e) for an elementwise kernel of a float array, applied to
-    the energies one block of _BLOCK at a time into one output of ``dtype``.
+def _pointwise(kernel, energy):
+    """kernel(e) for a kernel of a float array giving a value, or a row, per
+    energy, applied one block of _BLOCK energies at a time into one output.
     A scalar energy is evaluated as a one-point grid and gives a Python
     scalar, so every energy gets the same bits on any grid or on its own."""
     e = np.asarray(energy, dtype=float)
@@ -59,10 +59,12 @@ def _pointwise(kernel, energy, dtype=float):
     if e.size <= _BLOCK:
         return kernel(e)
     flat = e.reshape(-1)
-    out = np.empty(flat.size, dtype)
-    for i in range(0, flat.size, _BLOCK):
+    first = kernel(flat[:_BLOCK])
+    out = np.empty(flat.shape + first.shape[1:], first.dtype)
+    out[:_BLOCK] = first
+    for i in range(_BLOCK, flat.size, _BLOCK):
         out[i:i + _BLOCK] = kernel(flat[i:i + _BLOCK])
-    return out.reshape(e.shape)
+    return out.reshape(e.shape + first.shape[1:])
 
 
 def _times(z, f):

@@ -11,6 +11,7 @@ uses analytic derivatives throughout.
 """
 
 import math
+import sys
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -33,6 +34,8 @@ __all__ = [
 ]
 
 _PARAM_NAMES = ("q", "e0", "gamma", "amplitude", "offset")
+# the log(gamma) between which exp() gives a normal, finite width
+_LOG_WIDTH = (math.log(sys.float_info.min), math.log(sys.float_info.max))
 
 
 @dataclass(frozen=True)
@@ -98,18 +101,15 @@ def _jacobian_internal(vec, e):
     amplitude, offset), one column each."""
     q, e0, u, a, _ = vec
     gamma = math.exp(u)
-    eps = _eps(e, e0, gamma)
-    denom = eps * eps + 1.0
-    qe = q + eps
-    jac = np.empty((e.size, 5))
-    jac[:, 0] = 2.0 * a * qe / denom
-    # d f/d eps, then chain rule: d eps/d e0 = -2/gamma, d f/d log(gamma) = -eps*dfdeps
-    dfdeps = 2.0 * a * qe * (1.0 - q * eps) / (denom * denom)
-    jac[:, 1] = dfdeps * (-2.0 / gamma)
-    jac[:, 2] = dfdeps * (-eps)
-    jac[:, 3] = qe * qe / denom
-    jac[:, 4] = 1.0
-    return jac
+    def rows(e):
+        eps = _eps(e, e0, gamma)
+        denom = eps * eps + 1.0
+        qe = q + eps
+        # d f/d eps, then chain rule: d eps/d e0 = -2/gamma, d f/d log(gamma) = -eps*dfdeps
+        dfdeps = 2.0 * a * qe * (1.0 - q * eps) / (denom * denom)
+        return np.column_stack([2.0 * a * qe / denom, dfdeps * (-2.0 / gamma), dfdeps * (-eps),
+                                qe * qe / denom, np.ones_like(e)])
+    return _pointwise(rows, e)
 
 
 def initial_guess(trace):
@@ -208,13 +208,14 @@ def fit_fano(trace, guess=None, *, max_iter=200, tol_step=1e-10, tol_grad=1e-12,
         diag = np.diag(jtj).copy()
         diag = np.maximum(diag, 1e-12 * max(1.0, float(diag.max())))
         accepted = False
-        step = None
         while lam <= 1e15:
             try:
                 step = np.linalg.solve(jtj + lam * np.diag(diag), grad)
             except np.linalg.LinAlgError:
                 step = None
-            if step is not None and np.all(np.isfinite(step)):
+            # a step to a log(gamma) that exp() takes to no normal width is rejected
+            if (step is not None and np.all(np.isfinite(step))
+                    and _LOG_WIDTH[0] < p[2] + step[2] < _LOG_WIDTH[1]):
                 trial = p + step
                 with np.errstate(over="ignore", invalid="ignore"):
                     r_trial = y - _profile_internal(trial, e)

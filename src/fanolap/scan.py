@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._g17 import format_csv
 from ._util import _count, _pointwise, _real, _write_all
 from .errors import DoublePoleSingularity, ValidationError
 from .model import (
@@ -59,9 +60,7 @@ __all__ = [
 # Rounding slack on the single-channel bound sigma <= 4.
 UNITARITY_SLACK = 1e-12
 
-_FMT = "%.17g"
 _TRACE_HEADER = "energy,sigma"
-_BLOCK_VALUES = 1 << 16  # values per %-format in _format_columns
 
 
 @dataclass(frozen=True)
@@ -291,13 +290,8 @@ def compare_representations(m, g):
 
 def _format_columns(header, *columns):
     """The header line, then one CSV line per row of the columns side by
-    side (a 2-d block adds one field per block column), one %-format per
-    block of rows, so only about _BLOCK_VALUES Python floats live at once."""
-    block = np.column_stack(columns)
-    line = ",".join([_FMT] * block.shape[1]) + "\n"
-    step = max(1, _BLOCK_VALUES // block.shape[1])
-    rows = np.split(block, range(step, len(block), step))
-    return header + "\n" + "".join((line * len(r)) % tuple(r.ravel().tolist()) for r in rows)
+    side (a 2-d block adds one field per block column)."""
+    return format_csv(np.column_stack(columns), header + "\n")
 
 
 def format_trace_csv(tr):
@@ -309,8 +303,8 @@ def write_trace_csv(tr, path):
 
 
 def format_contour_csv(cg):
-    header = "," + ",".join(_FMT % e for e in cg.energies)
-    return _format_columns(header, cg.deltas, cg.sigma)
+    # the energies row, without its line end
+    return _format_columns("," + format_csv(cg.energies[None, :])[:-1], cg.deltas, cg.sigma)
 
 
 def write_contour_csv(cg, path):

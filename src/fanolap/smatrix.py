@@ -61,7 +61,7 @@ def s_unitary_product(m, energy):
     phase = np.exp(2j * m.delta)
     # unnamed, so the starting array is freed once the first factor is applied
     return _pointwise(lambda e: _resonant_product(
-        np.full(e.shape, phase, dtype=complex), m.resonances, e), energy, complex)
+        np.full(e.shape, phase, dtype=complex), m.resonances, e), energy)
 
 
 def _resonant_product(s, resonances, e):
@@ -130,7 +130,7 @@ def s_pole(m, energy, rep):
     def kernel(e):
         u1, u2 = (pair.w1, pair.w2) if pair else _w_dynamic_raw(r1.width, r2.width, ce1, ce2, e)
         return 1.0 - 1j * (u1 / (e - ce1) + u2 / (e - ce2))
-    return _pointwise(kernel, energy, complex)
+    return _pointwise(kernel, energy)
 
 
 def _double_pole_args(e_d, gamma_d, delta):
@@ -152,7 +152,7 @@ def s_double_pole(e_d, gamma_d, delta, energy):
     def kernel(e):
         g = gamma_d / (e - e_d + 0.5j * gamma_d)
         return phase * (1.0 - 2j * g - g * g)
-    return _pointwise(kernel, energy, complex)
+    return _pointwise(kernel, energy)
 
 
 def cross_section(s):

@@ -125,8 +125,9 @@ def _same_bits(a, b):
         FanoProfileModel(-0.4, 7.0, 2.0, 1e-9, -0.5),
     ],
 )
-def test_jacobian_bitwise_equals_closed_form_columns(p):
-    e = np.linspace(-10.0, 12.0, 1001)
+@pytest.mark.parametrize("n", [1001, 20001])  # within one block of rows, and across three
+def test_jacobian_bitwise_equals_closed_form_columns(p, n):
+    e = np.linspace(-10.0, 12.0, n)
     x = _pack(p)
     jac = _jacobian_internal(x, e)
     assert jac.flags.c_contiguous
@@ -363,6 +364,38 @@ def test_fit_gamma_stays_positive():
         )
         res = fit_fano(synth(truth, e_span=8.0))
         assert res.model.gamma > 0.0
+
+
+# seven points with no resolvable resonance: a trial step once took log(gamma)
+# past the largest double's logarithm, and exp() raised OverflowError
+OVERFLOW_TRACE = (
+    (-5.0, 3.0291907458190033),
+    (-3.333333333333333, 3.2277515818845575),
+    (-1.6666666666666665, 3.8459074464762582),
+    (0.0, 3.728852949111197),
+    (1.666666666666667, 1.949210486307847),
+    (3.3333333333333339, 2.2771454058680032),
+    (5.0, 2.4596687146910452),
+)
+
+
+def test_fit_rejects_a_step_whose_width_overflows():
+    e, y = np.array(OVERFLOW_TRACE).T
+    res = fit_fano(CrossSectionTrace(e, y, TraceMeta("t")))
+    assert 0.0 < res.model.gamma < math.inf
+    assert math.isfinite(res.residual_norm)
+    assert res.iterations == 9
+
+
+def test_cli_fit_survives_a_width_overflow(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    data.write_text("energy,sigma\n" + "".join("%r,%r\n" % row for row in OVERFLOW_TRACE))
+    out = tmp_path / "fit.json"
+    assert run(["fit", "--data", str(data), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    body = json.loads(out.read_text())
+    assert body["iterations"] == 9
+    assert 0.0 < body["model"]["gamma"] < math.inf
 
 
 def test_fit_uncertainties_shape_and_scale():

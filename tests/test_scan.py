@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from conftest import float_classes
 
 from fanolap import (
     ContourGrid,
@@ -27,7 +30,8 @@ from fanolap import (
     write_contour_csv,
     write_trace_csv,
 )
-from fanolap.scan import _BLOCK_VALUES, _format_columns
+from fanolap._g17 import _BLOCK_VALUES
+from fanolap.scan import _format_columns
 
 TWO_RES = ScatteringModel((Resonance(0.0, 1.0), Resonance(2.0, 1.0)))
 
@@ -329,6 +333,34 @@ def test_column_writer_matches_line_by_line_format():
             columns = (x, block[:, 0]) if ncols == 2 else (x, block)
             rows = ["h"] + [",".join("%.17g" % v for v in (a, *r)) for a, r in zip(x, block)]
             assert _format_columns("h", *columns) == "\n".join(rows) + "\n"
+
+
+def _percent_rows(block):
+    """The reference: one Python '%.17g' per value."""
+    line = ",".join(["%.17g"] * block.shape[1]) + "\n"
+    return (line * len(block)) % tuple(block.ravel().tolist())
+
+
+def test_column_writer_matches_percent_on_every_class_of_double():
+    rng = np.random.default_rng(11)
+    v = float_classes(rng.random(1_450_000))
+    assert v.size >= 1_000_000
+    a = np.abs(v)
+    # values outside the fixed-notation fast path, in blocks of nothing else
+    only_slow = v[~((a >= 1e-4) & (a < 1e15))]
+    assert only_slow.size > 4 * _BLOCK_VALUES
+    # in class order, shuffled so every block mixes both kinds, only slow
+    for values, width in ((v, 2), (rng.permutation(v)[:300_000], 7), (only_slow, 3)):
+        block = values[: values.size // width * width].reshape(-1, width)
+        columns = (block[:, 0], block[:, 1]) if width == 2 else (block[:, 0], block[:, 1:])
+        assert _format_columns("h", *columns) == "h\n" + _percent_rows(block)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(), min_size=1, max_size=40), st.integers(1, 4))
+def test_column_writer_matches_percent_on_any_doubles(values, width):
+    block = np.array(values * width).reshape(len(values), width)
+    assert _format_columns("h", block) == "h\n" + _percent_rows(block)
 
 
 def test_contour_csv_format(tmp_path):
