@@ -50,25 +50,27 @@ def _decimal(a):
     return x, d
 
 
-def format_csv(block, head=""):
-    """``head``, then one CSV line per row of the 2-d float block, every
-    value as '%.17g' writes it; formatted _BLOCK_VALUES values at a time
-    into one buffer, which is decoded once."""
-    flat = block.ravel()
+def format_csv(head, columns):
+    """``head``, then one CSV line per row of the float columns side by side
+    (a 2-d column adds one field per column of it), every value as '%.17g'
+    writes it; about _BLOCK_VALUES values at a time into one buffer, which
+    is decoded once."""
+    width = sum(c.shape[1] if c.ndim == 2 else 1 for c in columns)
+    step = max(1, _BLOCK_VALUES // width)
     head = head.encode("ascii")
-    buf = np.empty(len(head) + _SLOT * flat.size, np.uint8)
+    buf = np.empty(len(head) + _SLOT * width * len(columns[0]), np.uint8)
     end = len(head)
     buf[:end] = np.frombuffer(head, np.uint8)
-    for i in range(0, flat.size, _BLOCK_VALUES):
-        text = _fields(flat[i:i + _BLOCK_VALUES], block.shape[1], i)
+    for i in range(0, len(columns[0]), step):
+        text = _fields(np.column_stack([c[i:i + step] for c in columns]).ravel(), width)
         buf[end:end + text.size] = text
         end += text.size
     return str(memoryview(buf)[:end], "ascii")
 
 
-def _fields(v, width, start):
-    """The bytes of the CSV fields of the values v, field ``start`` on in
-    a table ``width`` fields wide: '%.17g' text, then ',' or '\\n'."""
+def _fields(v, width):
+    """The bytes of whole CSV rows of ``width`` fields holding the values
+    v: '%.17g' text, then ',' or, at the end of a row, '\\n'."""
     a = np.abs(v)
     fast = (a >= 1e-4) & (a < 1e15)
     x, d = _decimal(np.where(fast, a, 1.0))
@@ -97,7 +99,7 @@ def _fields(v, width, start):
     np.copyto(t[6:24], np.where((x >= 0) & (last > x), ord("."), _PAD).astype(np.uint8),
               where=_ROW == k + 1)
     t[24] = ord(",")
-    t[24, (width - 1 - start) % width::width] = ord("\n")
+    t[24, width - 1::width] = ord("\n")
     slow = np.flatnonzero(~fast)
     if slow.size:
         text = ("%-24.17g" * slow.size) % tuple(v[slow].tolist())

@@ -34,7 +34,7 @@ __all__ = [
 ]
 
 _PARAM_NAMES = ("q", "e0", "gamma", "amplitude", "offset")
-# the log(gamma) between which exp() gives a normal, finite width
+# the range of log(gamma) in which exp() gives a normal, finite width
 _LOG_WIDTH = (math.log(sys.float_info.min), math.log(sys.float_info.max))
 
 
@@ -213,7 +213,7 @@ def fit_fano(trace, guess=None, *, max_iter=200, tol_step=1e-10, tol_grad=1e-12,
                 step = np.linalg.solve(jtj + lam * np.diag(diag), grad)
             except np.linalg.LinAlgError:
                 step = None
-            # a step to a log(gamma) that exp() takes to no normal width is rejected
+            # a step whose width exp(log gamma) leaves the normal doubles is rejected
             if (step is not None and np.all(np.isfinite(step))
                     and _LOG_WIDTH[0] < p[2] + step[2] < _LOG_WIDTH[1]):
                 trial = p + step

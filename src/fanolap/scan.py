@@ -291,7 +291,7 @@ def compare_representations(m, g):
 def _format_columns(header, *columns):
     """The header line, then one CSV line per row of the columns side by
     side (a 2-d block adds one field per block column)."""
-    return format_csv(np.column_stack(columns), header + "\n")
+    return format_csv(header + "\n", [np.asarray(c, dtype=float) for c in columns])
 
 
 def format_trace_csv(tr):
@@ -304,7 +304,7 @@ def write_trace_csv(tr, path):
 
 def format_contour_csv(cg):
     # the energies row, without its line end
-    return _format_columns("," + format_csv(cg.energies[None, :])[:-1], cg.deltas, cg.sigma)
+    return _format_columns("," + format_csv("", [cg.energies[None, :]])[:-1], cg.deltas, cg.sigma)
 
 
 def write_contour_csv(cg, path):
