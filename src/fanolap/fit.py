@@ -11,7 +11,6 @@ uses analytic derivatives throughout.
 """
 
 import math
-import sys
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -34,8 +33,7 @@ __all__ = [
 ]
 
 _PARAM_NAMES = ("q", "e0", "gamma", "amplitude", "offset")
-# the range of log(gamma) in which exp() gives a normal, finite width
-_LOG_WIDTH = (math.log(sys.float_info.min), math.log(sys.float_info.max))
+_U_MAX = 708.0  # |log(gamma)| up to which exp() gives a normal, finite width
 
 
 @dataclass(frozen=True)
@@ -105,10 +103,15 @@ def _jacobian_internal(vec, e):
         eps = _eps(e, e0, gamma)
         denom = eps * eps + 1.0
         qe = q + eps
+        jac = np.empty((e.size, 5))
+        jac[:, 0] = 2.0 * a * qe / denom
         # d f/d eps, then chain rule: d eps/d e0 = -2/gamma, d f/d log(gamma) = -eps*dfdeps
         dfdeps = 2.0 * a * qe * (1.0 - q * eps) / (denom * denom)
-        return np.column_stack([2.0 * a * qe / denom, dfdeps * (-2.0 / gamma), dfdeps * (-eps),
-                                qe * qe / denom, np.ones_like(e)])
+        jac[:, 1] = dfdeps * (-2.0 / gamma)
+        jac[:, 2] = dfdeps * (-eps)
+        jac[:, 3] = qe * qe / denom
+        jac[:, 4] = 1.0
+        return jac
     return _pointwise(rows, e)
 
 
@@ -213,9 +216,8 @@ def fit_fano(trace, guess=None, *, max_iter=200, tol_step=1e-10, tol_grad=1e-12,
                 step = np.linalg.solve(jtj + lam * np.diag(diag), grad)
             except np.linalg.LinAlgError:
                 step = None
-            # a step whose width exp(log gamma) leaves the normal doubles is rejected
-            if (step is not None and np.all(np.isfinite(step))
-                    and _LOG_WIDTH[0] < p[2] + step[2] < _LOG_WIDTH[1]):
+            # a step whose width exp() cannot represent is rejected
+            if step is not None and np.all(np.isfinite(step)) and abs(p[2] + step[2]) < _U_MAX:
                 trial = p + step
                 with np.errstate(over="ignore", invalid="ignore"):
                     r_trial = y - _profile_internal(trial, e)

@@ -125,13 +125,21 @@ def _same_bits(a, b):
         FanoProfileModel(-0.4, 7.0, 2.0, 1e-9, -0.5),
     ],
 )
-@pytest.mark.parametrize("n", [1001, 20001])  # within one block of rows, and across three
-def test_jacobian_bitwise_equals_closed_form_columns(p, n):
-    e = np.linspace(-10.0, 12.0, n)
+def test_jacobian_bitwise_equals_closed_form_columns(p):
+    e = np.linspace(-10.0, 12.0, 1001)
     x = _pack(p)
     jac = _jacobian_internal(x, e)
     assert jac.flags.c_contiguous
     assert _same_bits(jac, _reference_jacobian(x, e))
+
+
+def test_jacobian_across_row_blocks_bitwise_equals_closed_form_columns():
+    e = np.linspace(-10.0, 12.0, 20001)  # three blocks of rows
+    for p in (FanoProfileModel(2.0, 0.0, 1.0, 1.0, 0.1), FanoProfileModel(1e3, 0.0, 1.0, 4e-6, 0.0)):
+        x = _pack(p)
+        jac = _jacobian_internal(x, e)
+        assert jac.flags.c_contiguous
+        assert _same_bits(jac, _reference_jacobian(x, e))
 
 
 def _reference_initial_guess(trace):
