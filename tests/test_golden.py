@@ -8,7 +8,8 @@ fitter's iteration path.  The 41-point grids are smaller than any block
 of energies an evaluator works in, so the large-grid digests pin the
 arrays of each evaluator and of ``trace`` at sizes around and past powers
 of two, and CLI outputs at the sizes the benchmark writes (a 100003-point
-trace, a 100001-point qscan, a 1001 x 181 contour and the default fig2).
+trace, a 100001-point qscan, a 1001 x 181 contour and the default fig2),
+and the compare report and the figures on grids that cross block seams.
 One more digest pins every CSV writer on doubles of every formatting
 class.  They were recorded with numpy 2.4.6 on Python
 3.11.7 (x86-64, glibc libm); another numpy, libm or BLAS may round a last
@@ -104,11 +105,21 @@ CASES = {
     "contour_large": ["contour", "--model", "{m:two}", "--emin", "-3", "--emax", "4",
                       "--n", "1001", "--ndelta", "181", "--out", "{out}/c.csv"],
     "fig2_default": ["fig2", "--out", "{out}"],
+    "compare_large": ["compare", "--model", "{m:two}", "--emin", "-3", "--emax", "4",
+                      "--n", "100003", "--out", "{out}/r.json"],
+    "compare_degenerate_large": ["compare", "--model", "{m:deg}", "--emin", "-3", "--emax", "4",
+                                 "--n", "100003", "--out", "{out}/r.json"],
+    "fig1_large": ["fig1", "--gamma", "0.7", "--emin", "-3", "--emax", "3", "--n", "20001",
+                   "--out", "{out}"],
+    "fig2_large": ["fig2", "--emin", "-1", "--emax", "1.5", "--n", "20001", "--ndelta", "3",
+                   "--out", "{out}"],
 }
 
 GOLDEN = {
     "compare:r.json": "e8a22ac8ba7b2043cb479b4639f6243d41014fc817bf0da23a59a45a8cfa385f",
     "compare_degenerate:r.json": "2203f110e29e12666d5261ada896798bc294bf04dddd39f5df98e34e94ddab63",
+    "compare_large:r.json": "8230aaca7e04557890a2033b608143bc63197fdadcff8a6a186171efbda6497c",
+    "compare_degenerate_large:r.json": "13c92b42c0838c6ab11231066541af511f4202c581fdf7cd177c129d42a25975",
     "contour:c.csv": "12c3b00a3549c59ba414814dc9017970736711ddcd9c67d3fbf5d50deb8421b2",
     "contour_large:c.csv": "43a38466695fc5b0e11657b06b49414fa05bc260f73c0333f566cc1a25baad4b",
     "fig2_default:fig2_contour.csv": "2673c14b6acf018a605efd98a5de29f4288d14bb97c8ba99ce827af5fad07b19",
@@ -127,6 +138,14 @@ GOLDEN = {
     "fig1:fig1c_full.csv": "a8a96e8494757da7bc3a48bbdd66ac671777f0f04f41d6ebc140c8669e782c8a",
     "fig1:fig1d_dashed.csv": "bb2dd14a71ebd4664a190f254673a23c354263b607d1fde7aef4b4ed37f425e3",
     "fig1:fig1d_full.csv": "517d093f59d3b93f5021282d17776429495d6a21537b1339fe104dffd9beb920",
+    "fig1_large:fig1a_dashed.csv": "65bfbb5d774bbed901c7fb45bf32953b58639d9a864c4fb3aeb80bdb645b5530",
+    "fig1_large:fig1a_full.csv": "539d007814cb99ab931e765daa075ad95d71b9ad9def2b26ebd6da2abf9de3fb",
+    "fig1_large:fig1b_dashed.csv": "c0ad049d017a7c201c7b7c38d13a97950d6d48bcef6bac129dd668b84158f47f",
+    "fig1_large:fig1b_full.csv": "31cd3bffd7911609a5f28405d51a7fa4f18403c3aeca8399a36100aecb0c3761",
+    "fig1_large:fig1c_dashed.csv": "a791d62fc51190faa2f682e3f5ce273aa389864fc7d7b64054188603f9f65177",
+    "fig1_large:fig1c_full.csv": "a7e577986a41da14563aa72cd3808c17999a2921cc63254274e0ba03b9602b3b",
+    "fig1_large:fig1d_dashed.csv": "23fb7bc89a6e660949f1696c118c49c1a279b071b2e2d78388e90f84f8d30cfe",
+    "fig1_large:fig1d_full.csv": "04eaaa62f8025cc5a06babcf2239dbb81319d8530134f466355acfa457967d5d",
     "fig2:fig2_contour.csv": "186af62d25d72f22a4073be75f6b4f36b83abea4dac24dafa68f0f949b523500",
     "fig2:fig2a_delta0.csv": "92c77fa342d819f38b656b2bd2d619cf52c5b3de40bb3c36ae06f8e4a001a1a7",
     "fig2:fig2a_minus.csv": "2d46405c9f449dac826e8bd1553ad82223f9e92cfe14cd611f71ca715d5c4d1f",
@@ -134,6 +153,13 @@ GOLDEN = {
     "fig2:fig2b_delta0.csv": "1cf3d8a1b78350cc0a9b46b70ccd09f774f95e816eacfbe5e6e96b0bfbe2a1f9",
     "fig2:fig2b_minus.csv": "e78468679012673f3542f33386bc3de5e91196bbeee6cc7305b6397820486557",
     "fig2:fig2b_plus.csv": "582c9c0afa7da0a02b32f10e1510b0050850c5a631373d5f2603f4bb017a70ad",
+    "fig2_large:fig2_contour.csv": "0547c67d268606cbad289507f5272a161351d9039bdcad105bd121b82d8c6252",
+    "fig2_large:fig2a_delta0.csv": "21ce3804f549bd0f309a5f966759db8ea876ec2037590ae4f259bb780a8cca47",
+    "fig2_large:fig2a_minus.csv": "c2a94029a65a0ce6aa9138029b203499e82048f099f4c239a66c38d431656e28",
+    "fig2_large:fig2a_plus.csv": "1297c1a14636a85c547117d1ca238c6b24357c8b0b424be7ca3fdade8d4fe5b3",
+    "fig2_large:fig2b_delta0.csv": "4a08b14c19dd3e2c0131627cbb537446ee03c55fb308b49c7008bc716adf0f07",
+    "fig2_large:fig2b_minus.csv": "422fefa2733eee1529b725990bb953e174861d04e83621840e1db0beae61a91c",
+    "fig2_large:fig2b_plus.csv": "69e2a0d2f1e7e9aaf61f513cf905e7deed8f8a87933c44bf0ba2b78854ebd4ca",
     "fit:f.json": "32373059d3dbff57681326593ff998fee2352c184675defb2b105a83a7570446",
     "params:p.json": "d9d326703b8892ab9dffec00a8531fea67694e4700a7cb9b96d9da9be7a443b5",
     "params_negative_a:p.json": "785484a5a43fadf02292b88cb4bdb5c6577023d62af96762f2cf291d5989e626",
