@@ -76,6 +76,15 @@ def _times(z, f):
     return np.multiply(z, f, out)
 
 
+def _read_text(path, what):
+    """A file's UTF-8 text; bytes that are not UTF-8 raise ValidationError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as err:
+            raise ValidationError("%s %s: %s" % (what, path, err)) from err
+
+
 def _json_text(obj):
     """The JSON layout of every output: indent 2, sorted keys, final newline."""
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"

@@ -89,12 +89,13 @@ def _unpack(vec):
     return FanoProfileModel(q, e0, math.exp(u), a, b)
 
 
-def _profile_internal(vec, e):
+def _profile_internal(vec, energy):
     q, e0, u, a, b = vec
-    return _profile(q, e0, math.exp(u), a, b, e)
+    gamma = math.exp(u)
+    return _pointwise(lambda e: _profile(q, e0, gamma, a, b, e), energy)
 
 
-def _jacobian_internal(vec, e):
+def _jacobian_internal(vec, energy):
     """Derivatives of the profile with respect to (q, e0, log gamma,
     amplitude, offset), one column each."""
     q, e0, u, a, _ = vec
@@ -112,7 +113,7 @@ def _jacobian_internal(vec, e):
         jac[:, 3] = qe * qe / denom
         jac[:, 4] = 1.0
         return jac
-    return _pointwise(rows, e)
+    return _pointwise(rows, energy)
 
 
 def initial_guess(trace):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import _count, _json_text, _pointwise, _real, _write_all
+from ._util import _count, _json_text, _pointwise, _read_text, _real, _write_all
 from .errors import ValidationError
 
 __all__ = [
@@ -154,8 +154,7 @@ def model_from_dict(data):
 def load_model(path):
     """Read a model JSON file.  Unreadable files raise OSError; malformed
     content raises ValidationError."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    text = _read_text(path, "model file")
     try:
         data = json.loads(text)
     except ValueError as err:  # JSONDecodeError, or an integer too long to parse

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._g17 import format_csv
-from ._util import _count, _pointwise, _real, _write_all
+from ._util import _count, _pointwise, _read_text, _real, _write_all
 from .errors import DoublePoleSingularity, ValidationError
 from .model import (
     EnergyGrid,
@@ -29,6 +29,7 @@ from .smatrix import (
     Representation,
     _double_pole_args,
     _resonant_product,
+    coupling_w_static,
     cross_section,
     cross_section_noninteracting,
     s_double_pole,
@@ -87,7 +88,7 @@ class CrossSectionTrace:
             raise ValidationError("energies and sigma must be 1-d arrays of equal length")
         if not (np.all(np.isfinite(e)) and np.all(np.isfinite(s))):
             raise ValidationError("trace values must be finite")
-        if e.size > 1 and not np.all(np.diff(e) > 0.0):
+        if not np.all(e[1:] > e[:-1]):
             raise ValidationError("energies must be strictly increasing")
         if np.any(s < 0.0):
             raise ValidationError("cross sections are non-negative")
@@ -203,21 +204,14 @@ def figure1(gamma_d, g=None):
     _, gamma_d, _ = _double_pole_args(0.0, gamma_d, 0.0)
     if g is None:
         g = EnergyGrid(-5.0 * gamma_d, 5.0 * gamma_d, 1001)
-    e = g.points()
+    pole = Resonance(0.0, gamma_d)
     panels = []
     for delta in _FIG1_DELTAS:
-        pair = ScatteringModel(
-            (Resonance(0.0, gamma_d), Resonance(0.0, gamma_d)), delta
-        )
-        full = cross_section(s_double_pole(0.0, gamma_d, delta, e))
-        dashed = cross_section_noninteracting(pair, e)
-        panels.append(
-            Figure1Panel(
-                delta,
-                CrossSectionTrace(e, full, TraceMeta("double-pole", delta, pair)),
-                CrossSectionTrace(e, dashed, TraceMeta("noninteracting", delta, pair)),
-            )
-        )
+        full = trace(ScatteringModel((pole,), delta), g, Representation.DOUBLE_POLE)
+        pair = ScatteringModel((pole, pole), delta)
+        dashed = cross_section_noninteracting(pair, full.energies)
+        meta = TraceMeta("noninteracting", delta, pair)
+        panels.append(Figure1Panel(delta, full, CrossSectionTrace(full.energies, dashed, meta)))
     return panels
 
 
@@ -229,13 +223,11 @@ def figure2_model(delta):
     return ScatteringModel(_FIG2_RESONANCES, delta)
 
 
-def _fig2_variant(delta0, e):
-    traces = []
-    for d in (delta0, delta0 - 0.5, delta0 + 0.5):
-        m = figure2_model(d)
-        sigma = cross_section(s_unitary_product(m, e))
-        traces.append(CrossSectionTrace(e, sigma, TraceMeta("product", d, m)))
-    return Figure2Variant(delta0, *traces)
+def _fig2_variant(delta0, g):
+    return Figure2Variant(delta0, *(
+        trace(figure2_model(d), g, Representation.UNITARY_PRODUCT)
+        for d in (delta0, delta0 - 0.5, delta0 + 0.5)
+    ))
 
 
 def figure2(g=None, n_delta=181):
@@ -244,20 +236,13 @@ def figure2(g=None, n_delta=181):
     0.5 rad to each side, and a phase sweep over [0, pi)."""
     if g is None:
         g = EnergyGrid(-1.0, 1.5, 1001)
-    e = g.points()
     eps2_at_e1 = epsilon(_FIG2_RESONANCES[1], _FIG2_RESONANCES[0].position)
     delta0_window = -math.atan(eps2_at_e1)
     delta0_bw = 0.5 * math.pi - math.atan(eps2_at_e1)
-    window = _fig2_variant(delta0_window, e)
-    breit_wigner = _fig2_variant(delta0_bw, e)
+    window = _fig2_variant(delta0_window, g)
+    breit_wigner = _fig2_variant(delta0_bw, g)
     sweep = contour(figure2_model(0.0), g, 0.0, math.pi, n_delta, endpoint=False)
     return Figure2Result(window, breit_wigner, sweep)
-
-
-def _pair_stats(sa, sb, e):
-    dev = np.abs(sa - sb)
-    i = int(np.argmax(dev))
-    return {"max_abs_dev": float(dev[i]), "argmax_energy": float(e[i])}
 
 
 def compare_representations(m, g):
@@ -265,24 +250,31 @@ def compare_representations(m, g):
     pole, and dynamic pole forms.  A near-degenerate model makes the static
     form inapplicable; that is reported in the result, not raised."""
     _require_two_zero_delta(m, "compare_representations")
-    e = g.points()
-    s_prod = s_unitary_product(m, e)
-    s_dyn = s_pole(m, e, Representation.POLES_DYNAMIC)
-    pairs = {"product_vs_poles_dynamic": _pair_stats(s_prod, s_dyn, e)}
-    applicable = True
     note = None
     try:
-        s_stat = s_pole(m, e, Representation.POLES_STATIC)
+        coupling_w_static(m)
     except DoublePoleSingularity as err:
-        applicable = False
         note = str(err)
-    else:
-        pairs["product_vs_poles_static"] = _pair_stats(s_prod, s_stat, e)
-        pairs["poles_static_vs_poles_dynamic"] = _pair_stats(s_stat, s_dyn, e)
+    names = ("product_vs_poles_dynamic", "product_vs_poles_static", "poles_static_vs_poles_dynamic")
+
+    def deviations(x):
+        # |S_a - S_b| per energy, one column for each applicable pair of `names`
+        prod = s_unitary_product(m, x)
+        dyn = s_pole(m, x, Representation.POLES_DYNAMIC)
+        if note is not None:
+            return np.abs(prod - dyn)[:, None]
+        stat = s_pole(m, x, Representation.POLES_STATIC)
+        return np.abs(np.stack([prod - dyn, prod - stat, stat - dyn], axis=1))
+
+    e = g.points()
+    pairs = {}
+    for name, col in zip(names, _pointwise(deviations, e).T):
+        i = int(np.argmax(col))  # column by column: an argmax over axis 0 copies every column
+        pairs[name] = {"max_abs_dev": float(col[i]), "argmax_energy": float(e[i])}
     return {
         "model": model_to_dict(m),
         "grid": {"e_min": g.e_min, "e_max": g.e_max, "n_points": g.n_points},
-        "poles_static_applicable": applicable,
+        "poles_static_applicable": note is None,
         "poles_static_note": note,
         "pairs": pairs,
     }
@@ -339,11 +331,7 @@ def read_trace_csv(path):
     raise OSError; malformed content raises ValidationError naming the
     first bad line.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            text = fh.read()
-        except UnicodeDecodeError as err:
-            raise ValidationError("trace file %s: %s" % (path, err)) from err
+    text = _read_text(path, "trace file")
     lines = _lines(text)
     rows = csv.reader(lines)
     try:

@@ -426,6 +426,18 @@ def test_model_file_with_an_overlong_integer_is_validation_error(tmp_path, capsy
     assert not out.exists()
 
 
+def test_model_file_not_utf8_is_validation_error(tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_bytes(b"\xff{}")
+    out = tmp_path / "o.json"
+    assert run(["params", "--model", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "ValidationError: model file %s: 'utf-8' codec can't decode byte 0xff in "
+        "position 0: invalid start byte\n" % path
+    )
+    assert not out.exists()
+
+
 def test_out_of_memory_is_a_one_line_diagnostic(tmp_path, model_file, monkeypatch, capsys):
     def exhausted(*args):
         raise MemoryError

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -180,6 +181,8 @@ def test_figure1_panels():
     assert deltas == pytest.approx([0.0, math.pi / 4, math.pi / 2, 3 * math.pi / 4])
     centers = []
     for p in panels:
+        # the full curve is the double-pole trace of the one-resonance pole
+        assert p.full.meta.model == ScatteringModel((Resonance(0.0, 1.0),), p.delta)
         i = int(np.argmin(np.abs(p.full.energies)))
         assert abs(p.full.energies[i]) < 1e-12  # grid contains the pole energy
         centers.append(p.full.sigma[i])
@@ -296,6 +299,23 @@ def test_compare_widely_separated_model():
     report = compare_representations(m, EnergyGrid(-60.0, 60.0, 2001))
     for stats in report["pairs"].values():
         assert stats["max_abs_dev"] < 1e-12
+
+
+@pytest.mark.parametrize("evaluate, bound", [
+    (lambda g: trace(TWO_RES, g, Representation.UNITARY_PRODUCT), 36.0),
+    (lambda g: compare_representations(TWO_RES, g), 48.0),
+], ids=["trace", "compare_representations"])
+def test_grid_evaluation_peak_memory(evaluate, bound):
+    # traced peak bytes per point: the grid, the result arrays and one
+    # block's temporaries, with no further grid-sized array
+    n = 200000
+    tracemalloc.start()
+    try:
+        evaluate(EnergyGrid(-8.0, 10.0, n))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / n <= bound
 
 
 def test_trace_csv_format(tmp_path):
