@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._g17 import format_csv
-from ._util import _count, _pointwise, _read_text, _real, _write_all
+from ._util import _count, _parallel, _pointwise, _read_text, _real, _write_all
 from .errors import DoublePoleSingularity, ValidationError
 from .model import (
     EnergyGrid,
@@ -28,6 +28,8 @@ from .model import (
 from .smatrix import (
     Representation,
     _double_pole_args,
+    _pole_kernel,
+    _resonant_factors,
     _resonant_product,
     coupling_w_static,
     cross_section,
@@ -189,9 +191,14 @@ def contour(m, g, delta_min, delta_max, n_delta, endpoint=True):
     deltas = np.linspace(delta_min, delta_max, n_delta, endpoint=endpoint)
     phases = np.exp(2j * deltas)[:, None]
     rows = np.empty((n_delta, e.size))
-    step = max(1, (1 << 18) // e.size)  # rows per block, so the temporaries stay small
-    for i in range(0, n_delta, step):
-        rows[i:i + step] = cross_section(_resonant_product(phases[i:i + step], m.resonances, e))
+    # made once and shared by every row block
+    factors = list(_resonant_factors(m.resonances, e))
+    # rows per block: 16384 cells, so each thread's temporaries stay near 256 KB
+    step = max(1, (1 << 14) // e.size)
+
+    def block(i):
+        rows[i:i + step] = cross_section(_resonant_product(phases[i:i + step], factors))
+    _parallel(block, range(0, n_delta, step), rows.size)
     return ContourGrid(e, deltas, rows)
 
 
@@ -249,22 +256,28 @@ def compare_representations(m, g):
     """Pairwise maximum |S_a - S_b| over the grid for the product, static
     pole, and dynamic pole forms.  A near-degenerate model makes the static
     form inapplicable; that is reported in the result, not raised."""
-    _require_two_zero_delta(m, "compare_representations")
+    r1, r2 = _require_two_zero_delta(m, "compare_representations")
     note = None
     try:
-        coupling_w_static(m)
+        static_of = _pole_kernel(r1, r2, coupling_w_static(m))
     except DoublePoleSingularity as err:
         note = str(err)
+    dynamic_of = _pole_kernel(r1, r2)
     names = ("product_vs_poles_dynamic", "product_vs_poles_static", "poles_static_vs_poles_dynamic")
 
     def deviations(x):
         # |S_a - S_b| per energy, one column for each applicable pair of `names`
         prod = s_unitary_product(m, x)
-        dyn = s_pole(m, x, Representation.POLES_DYNAMIC)
+        dyn = dynamic_of(x)
         if note is not None:
             return np.abs(prod - dyn)[:, None]
-        stat = s_pole(m, x, Representation.POLES_STATIC)
-        return np.abs(np.stack([prod - dyn, prod - stat, stat - dyn], axis=1))
+        stat = static_of(x)
+        # one row per pair, transposed: no stacked complex copy
+        d = np.empty((3, x.size))
+        np.abs(prod - dyn, out=d[0])
+        np.abs(prod - stat, out=d[1])
+        np.abs(stat - dyn, out=d[2])
+        return d.T
 
     e = g.points()
     pairs = {}

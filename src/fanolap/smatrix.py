@@ -61,15 +61,21 @@ def s_unitary_product(m, energy):
     phase = np.exp(2j * m.delta)
     # unnamed, so the starting array is freed once the first factor is applied
     return _pointwise(lambda e: _resonant_product(
-        np.full(e.shape, phase, dtype=complex), m.resonances, e), energy)
+        np.full(e.shape, phase, dtype=complex), _resonant_factors(m.resonances, e)), energy)
 
 
-def _resonant_product(s, resonances, e):
-    """s times each resonance factor (e - conj(ce_k))/(e - ce_k) in turn;
-    s broadcasts against e, so one factor serves every row of a 2-d s."""
+def _resonant_factors(resonances, e):
+    """Each resonance factor (e - conj(ce_k))/(e - ce_k), made as it is used."""
     for r in resonances:
         ce = complex_energy(r)
-        s = _times(s, (e - ce.conjugate()) / (e - ce))
+        yield (e - ce.conjugate()) / (e - ce)
+
+
+def _resonant_product(s, factors):
+    """s times each factor in turn; s broadcasts against a factor, so one
+    factor serves every row of a 2-d s."""
+    for f in factors:
+        s = _times(s, f)
     return s
 
 
@@ -125,12 +131,18 @@ def s_pole(m, energy, rep):
     if rep not in (Representation.POLES_STATIC, Representation.POLES_DYNAMIC):
         raise ValidationError("s_pole supports the pole representations, got %r" % (rep,))
     r1, r2 = _require_two_zero_delta(m, "s_pole")
-    ce1, ce2 = complex_energy(r1), complex_energy(r2)
     pair = coupling_w_static(m) if rep is Representation.POLES_STATIC else None
+    return _pointwise(_pole_kernel(r1, r2, pair), energy)
+
+
+def _pole_kernel(r1, r2, pair=None):
+    """The per-energy kernel of s_pole: the static couplings ``pair``, or
+    the dynamic ones when it is None."""
+    ce1, ce2 = complex_energy(r1), complex_energy(r2)
     def kernel(e):
         u1, u2 = (pair.w1, pair.w2) if pair else _w_dynamic_raw(r1.width, r2.width, ce1, ce2, e)
         return 1.0 - 1j * (u1 / (e - ce1) + u2 / (e - ce2))
-    return _pointwise(kernel, energy)
+    return kernel
 
 
 def _double_pole_args(e_d, gamma_d, delta):

@@ -7,7 +7,23 @@ so the stream is bit-for-bit reproducible on any IEEE-754 platform and easy
 to re-implement in another language.
 """
 
+import threading
+
 import numpy as np
+import pytest
+
+
+
+@pytest.fixture(autouse=True)
+def no_thread_outlives_its_test():
+    """Fail a test that leaves a thread running: every worker thread that
+    evaluates a grid's blocks is joined before its call returns."""
+    before = set(threading.enumerate())
+    yield
+    left = [t for t in threading.enumerate() if t not in before]
+    if left:
+        pytest.fail("threads still running after the test: %r" % left)
+
 
 LCG_A = 6364136223846793005
 LCG_C = 1442695040888963407

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -14,6 +15,8 @@ from fanolap import (
     ScatteringModel,
     ValidationError,
     breit_wigner_energy,
+    compare_representations,
+    contour,
     cross_section,
     cross_section_noninteracting,
     double_pole_fano,
@@ -32,6 +35,7 @@ from fanolap import (
     trace,
     window_energy,
 )
+from fanolap import _util
 from fanolap._util import _BLOCK
 
 # widths 1 and 3 at positions 0 and 1: every parameter comes out rational
@@ -114,6 +118,54 @@ def test_energy_value_independent_of_grid_size(name):
         for i in picks:
             assert at(m, e[i:i + 1]).tobytes() == full[i:i + 1].tobytes(), i
             assert np.array(at(m, float(e[i]))).tobytes() == full[i:i + 1].tobytes(), i
+
+
+# name -> bytes of its value on an EnergyGrid, for every grid evaluator
+THREAD_CASES = {
+    **{name: (lambda m, g, f=on_grid: f(m, g).tobytes()) for name, (on_grid, _) in GRID_CASES.items()},
+    "contour": lambda m, g: contour(m, g, -1.0, 2.0, 7).sigma.tobytes(),
+    "compare_representations": lambda m, g: json.dumps(
+        compare_representations(_model_for(m, Representation.POLES_STATIC), g)).encode(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(THREAD_CASES))
+def test_grid_bits_independent_of_thread_count(name, monkeypatch):
+    # blocks are independent and _times fixes every product's operand
+    # order, so how many threads share a grid's blocks changes no bit
+    rng = np.random.default_rng(12)
+    g = EnergyGrid(-6.0, 6.0, 3 * _BLOCK + 5)
+    for _ in range(3):
+        n = int(rng.integers(2, 13))
+        m = ScatteringModel(
+            tuple(Resonance(p, w) for p, w in zip(rng.uniform(-4.0, 4.0, n),
+                                                  rng.uniform(0.1, 3.0, n))),
+            float(rng.uniform(-2.0, 2.0)),
+        )
+        values = []
+        monkeypatch.setattr(_util, "_THREADED_POINTS", 0)
+        for cpus in (1, 2, 4):
+            monkeypatch.setattr(_util, "_cpus", lambda cpus=cpus: cpus)
+            values.append(THREAD_CASES[name](m, g))
+        assert values[0] == values[1] == values[2]
+
+
+def test_worker_threads_keep_the_callers_error_state(monkeypatch):
+    # fano_q_dynamic divides by a vanishing sin(phi) under
+    # errstate(divide="ignore"); numpy 2 keeps that state in a context
+    # variable that a new thread does not inherit, and pytest turns the
+    # warning a worker would then emit into an error
+    monkeypatch.setattr(_util, "_THREADED_POINTS", 0)
+    monkeypatch.setattr(_util, "_cpus", lambda: 4)
+    m = ScatteringModel((Resonance(5.0, 1.0), Resonance(0.0, 2.0)), math.pi / 2)
+    e = np.linspace(-3.0, 1.0, 3 * _BLOCK + 5)
+    i = int(np.argmin(np.abs(e)))
+    assert i >= 2 * _BLOCK
+    # eps_2 = E here equals cos(delta) in floats, so phi is exactly 0
+    e[i] = np.exp(1j * m.delta).real
+    q = fano_q_dynamic(m, 0, e)
+    assert np.flatnonzero(~np.isfinite(q)).tolist() == [i]
+    assert np.isinf(q[i]) and q[i - 1] * q[i + 1] < 0.0
 
 
 def _pair(rng, delta=0.0):

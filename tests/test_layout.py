@@ -1,6 +1,7 @@
 """Package layout checks: one public namespace, one file writer, one
-scalar validator, one per-energy evaluation, one trace CSV header and no
-power-of-two squares for the whole of ``src/fanolap``."""
+scalar validator, one per-energy evaluation, one home of threads, one
+trace CSV header and no power-of-two squares for the whole of
+``src/fanolap``."""
 
 import ast
 import importlib
@@ -80,6 +81,38 @@ def test_only_util_writes_files():
         offenders += ["%s:%d %s" % (path.name, line, what) for line, what in _writes(tree)]
     assert offenders == []
     assert _writes(ast.parse((SRC / "_util.py").read_text(encoding="utf-8")))
+
+
+_CONCURRENCY = {"threading", "concurrent", "multiprocessing"}
+
+
+def _concurrency_imports(tree):
+    """(line, module) for each import of a thread or process module."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        else:
+            continue
+        found += [(node.lineno, n) for n in names if n.split(".")[0] in _CONCURRENCY]
+    return found
+
+
+def test_only_util_imports_threads():
+    # _util._parallel is the one place that starts threads, so the caller's
+    # error state and the join before return are kept in one place
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "_util.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        offenders += ["%s:%d %s" % (path.name, line, what)
+                      for line, what in _concurrency_imports(tree)]
+    assert offenders == []
+    util = ast.parse((SRC / "_util.py").read_text(encoding="utf-8"))
+    assert [what for _, what in _concurrency_imports(util)] == ["threading"]
 
 
 def test_trace_header_is_spelled_once():
