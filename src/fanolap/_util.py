@@ -60,10 +60,14 @@ def _cpus():
         return os.cpu_count() or 1
 
 
-# Fewer energies (or contour cells) than this stay on the caller's thread:
-# starting and joining a thread took 0.35-0.43 ms median and up to 5.6 ms
-# at p90 on a 2-vCPU VM, and up to 4e5 points no kernel ran faster on two
-# (measured with blocks of 8192).
+# Fewer energies (or contour cells) than this stay on the caller's thread.
+# Starting and joining a thread took 0.35-0.43 ms median and up to 5.6 ms
+# at p90 on a 2-vCPU VM.  There, twelve kernels of the grid_sweep benchmark
+# together took 0.98-1.06 times as long on two threads as on one at 2e5 and
+# 2.5e5 energies, 0.73-0.89 at 3e5, 0.68-0.71 at 4e5 and 5e5, and 0.64-0.67
+# at 6e5 to 1e6 (blocks of 16384, medians of 7, 1-2% steal).  2^19 leaves
+# room for a host that steals more; any value in (2e5, 722361] threads the
+# same calls of every benchmark workload.
 _THREADED_POINTS = 1 << 19
 
 
@@ -110,13 +114,12 @@ def _parallel(job, items, points):
         raise failed[0]
 
 
-def _pointwise(kernel, energy, serial=False):
+def _pointwise(kernel, energy):
     """kernel(e) for a kernel of a float array giving a value, or a row, per
     energy, applied one block of _BLOCK energies at a time into one output.
     A scalar energy is evaluated as a one-point grid and gives a Python
     scalar, so every energy gets the same bits on any grid or on its own.
-    The blocks after the first go to _parallel; ``serial`` keeps them all
-    on the caller's thread."""
+    The blocks after the first go to _parallel."""
     e = np.asarray(energy, dtype=float)
     if e.ndim == 0:
         return kernel(e.reshape(1))[0].item()
@@ -129,7 +132,7 @@ def _pointwise(kernel, energy, serial=False):
 
     def block(i):
         out[i:i + _BLOCK] = kernel(flat[i:i + _BLOCK])
-    _parallel(block, range(_BLOCK, flat.size, _BLOCK), 0 if serial else flat.size)
+    _parallel(block, range(_BLOCK, flat.size, _BLOCK), flat.size)
     return out.reshape(e.shape + first.shape[1:])
 
 

@@ -89,15 +89,10 @@ def _unpack(vec):
     return FanoProfileModel(q, e0, math.exp(u), a, b)
 
 
-# The fitter's residual and Jacobian keep their blocks on the calling
-# thread: every evaluation follows a multithreaded OpenBLAS product
-# (J^T J, J^T r) whose own thread still spins on the other CPU, and there
-# threaded blocks ran about 3x slower (predict and trace of 2e5 points
-# right after a BLAS call: 28 against 9 ms on 2 vCPUs).
 def _profile_internal(vec, energy):
     q, e0, u, a, b = vec
     gamma = math.exp(u)
-    return _pointwise(lambda e: _profile(q, e0, gamma, a, b, e), energy, serial=True)
+    return _pointwise(lambda e: _profile(q, e0, gamma, a, b, e), energy)
 
 
 def _jacobian_internal(vec, energy):
@@ -118,7 +113,7 @@ def _jacobian_internal(vec, energy):
         jac[:, 3] = qe * qe / denom
         jac[:, 4] = 1.0
         return jac
-    return _pointwise(rows, energy, serial=True)
+    return _pointwise(rows, energy)
 
 
 def initial_guess(trace):

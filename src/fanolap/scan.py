@@ -191,14 +191,32 @@ def contour(m, g, delta_min, delta_max, n_delta, endpoint=True):
     deltas = np.linspace(delta_min, delta_max, n_delta, endpoint=endpoint)
     phases = np.exp(2j * deltas)[:, None]
     rows = np.empty((n_delta, e.size))
-    # made once and shared by every row block
-    factors = list(_resonant_factors(m.resonances, e))
-    # rows per block: 16384 cells, so each thread's temporaries stay near 256 KB
-    step = max(1, (1 << 14) // e.size)
+    # cells per product, so each thread's complex temporaries stay near 256 KB
+    cells = 1 << 14
+    if e.size <= cells:
+        # one block of energies: its resonance factors are made once and
+        # shared by the row blocks
+        factors = list(_resonant_factors(m.resonances, e))
+        step = cells // e.size
 
-    def block(i):
-        rows[i:i + step] = cross_section(_resonant_product(phases[i:i + step], factors))
-    _parallel(block, range(0, n_delta, step), rows.size)
+        def row_block(i):
+            rows[i:i + step] = cross_section(_resonant_product(phases[i:i + step], factors))
+        _parallel(row_block, range(0, n_delta, step), rows.size)
+        return ContourGrid(e, deltas, rows)
+    # A wider grid goes by equal blocks of at most `cells` energies, one row
+    # at a time, each block making its own factors: 16 bytes per resonance
+    # and energy of one block on each thread, not of the whole grid.  Equal
+    # blocks leave no one-energy block, whose broadcast product numpy would
+    # round another way.
+    n_blocks = -(-e.size // cells)
+    bounds = [e.size * k // n_blocks for k in range(n_blocks + 1)]
+
+    def energy_block(k):
+        a, b = bounds[k], bounds[k + 1]
+        factors = list(_resonant_factors(m.resonances, e[a:b]))
+        for i in range(n_delta):
+            rows[i:i + 1, a:b] = cross_section(_resonant_product(phases[i:i + 1], factors))
+    _parallel(energy_block, range(n_blocks), rows.size)
     return ContourGrid(e, deltas, rows)
 
 

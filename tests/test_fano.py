@@ -124,6 +124,9 @@ def test_energy_value_independent_of_grid_size(name):
 THREAD_CASES = {
     **{name: (lambda m, g, f=on_grid: f(m, g).tobytes()) for name, (on_grid, _) in GRID_CASES.items()},
     "contour": lambda m, g: contour(m, g, -1.0, 2.0, 7).sigma.tobytes(),
+    # fewer energies than one block: the row blocks go to the threads
+    "contour_rows": lambda m, g: contour(m, EnergyGrid(-6.0, 6.0, 1001), -1.0, 2.0,
+                                         53).sigma.tobytes(),
     "compare_representations": lambda m, g: json.dumps(
         compare_representations(_model_for(m, Representation.POLES_STATIC), g)).encode(),
 }

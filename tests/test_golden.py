@@ -7,7 +7,8 @@ formatting, JSON layout, operation order inside every formula, and the
 fitter's iteration path.  The 41-point grids are smaller than any block
 of energies an evaluator works in, so the large-grid digests pin the
 arrays of each evaluator and of ``trace`` at sizes around and past powers
-of two, and CLI outputs at the sizes the benchmark writes (a 100003-point
+of two and, with a second thread, around the seams of today's blocks, and
+CLI outputs at the sizes the benchmark writes (a 100003-point
 trace, a 100001-point qscan, a 1001 x 181 contour and the default fig2),
 and the compare report and the figures on grids that cross block seams.
 One more digest pins every CSV writer on doubles of every formatting
@@ -45,6 +46,7 @@ from fanolap import (
     save_model,
     trace,
 )
+from fanolap import _util
 from fanolap.cli import run
 from fanolap.scan import (
     ContourGrid,
@@ -295,9 +297,39 @@ LARGE_GOLDEN = {
 }
 
 
-def _large_digest(name):
+# one block of 16384 energies less one, one full block, one more (a last
+# block of one energy), and two blocks and one energy; recorded with
+# blocks of 8192 evaluated one after another
+SEAM_SIZES = (16383, 16384, 16385, 32769)
+
+SEAM_GOLDEN = {
+    "cross_section_noninteracting": "06bccae79c4de52d6f4846593e21916583cf76f0d6fa885dcb0ec641e7a518dc",
+    "double_pole_fano_q": "4fb2221c5b92619d717eac3f26ec5d39a25014238186ec36f88d5c8f4f4c7f0b",
+    "double_pole_fano_sigma": "7858233c9d26fad22356d9c48bde9adc7458f3aab4b72da94508d2c46d9de685",
+    "epsilon": "84d522500a19b767ad2c966a525aec69b5d90e89610eff7194edc885ddcc4708",
+    "fano_cross_section_complex": "905bbafa1575039296684e8a37fd4458cd4fa3f6939d3358bc8f61d0abd839bf",
+    "fano_cross_section_dynamic": "b53cf02622147f8ef41f2194fc7cb9c3c00ca1da4440b24f350450ff9040503a",
+    "fano_cross_section_dynamic_12": "5aa9e6b4d68c8fa0c7a3342adf2d617bce1115f1333d196ca074f356e566d119",
+    "fano_cross_section_static": "4ee4959f0b11431647e7803be64352847abb0363073e0d6c0e4149c4947efa05",
+    "fano_q_dynamic": "f4a2356f83436111b2cfecd45e85d6911a4c84273245bfbf39a1d484e1174056",
+    "fano_q_dynamic_12": "683c2eee4293f0e6f9d8f25943e6062f596b5de1774e88eefc719b9ae3dbec04",
+    "predict": "c94e307e7113f15fb44b14a782a4969365509ade57db0e10d2e391ea9838aab0",
+    "resonance_phase": "93ad8238f96a026eeba7cbaa8bc0a9571434c8183986329564a4e4c6a36ece35",
+    "s_double_pole": "d5ca0a1618c5bce317f66951a6a2944ee9878f994a2d9d34012ff2f3005d6d30",
+    "s_pole_dynamic": "344d36012104ed0cf09459b68e2b5f4d853a25099eabdadf587c25017306f368",
+    "s_pole_static": "eeb0b2f5895fdeccce659be0785e720636b64ac1521e437b7eae4b4696951acb",
+    "s_unitary_product": "4ab42900c5019b205f7f238401262e5d2cca2c13713111d406c3091c55ab2bf5",
+    "s_unitary_product_12": "3b6d28dd1b10502258a2ba16ea3a652ba4cd5cd7e77bf8920c9e2ac6ac5f7280",
+    "trace_double_pole": "0ee4045c89d3bbbceaae09a9d962cfe57912733ae1c30083a802b5918df569a5",
+    "trace_poles_dynamic": "a8a0f2f47de2a2fc75c3a3773173290d40a70ba824d7589645b044e0debfe475",
+    "trace_poles_static": "456b4e18224976f5cf7b969c5383616589c46153f04c658f270bec782083034c",
+    "trace_product": "63ea9938d914501ef9ce7b21b198708046598b8e3f2390d773b6300ab149b32b",
+}
+
+
+def _large_digest(name, sizes=LARGE_SIZES):
     h = hashlib.sha256()
-    for n in LARGE_SIZES:
+    for n in sizes:
         out = LARGE[name](n)
         assert out.shape == (n,)
         h.update(np.ascontiguousarray(out).tobytes())
@@ -307,6 +339,15 @@ def _large_digest(name):
 @pytest.mark.parametrize("name", sorted(LARGE))
 def test_large_grid_outputs(name):
     assert _large_digest(name) == LARGE_GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(LARGE))
+def test_block_seam_outputs_on_threads(name, monkeypatch):
+    # every grid of more than one block hands its later blocks to a
+    # second thread, the one-energy last block of 32769 among them
+    monkeypatch.setattr(_util, "_THREADED_POINTS", 0)
+    monkeypatch.setattr(_util, "_cpus", lambda: 2)
+    assert _large_digest(name, SEAM_SIZES) == SEAM_GOLDEN[name]
 
 
 FORMATTER_GOLDEN = "ee688fa34b577ce9ec3e037ffb77c94e2dcb081127a163c5e7332a66a26d9df0"

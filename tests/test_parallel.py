@@ -78,7 +78,7 @@ def test_a_late_block_error_reaches_the_caller(threaded):
     assert set(threading.enumerate()) == before
 
 
-def test_small_grids_and_the_fitter_stay_on_the_callers_thread(monkeypatch):
+def test_small_grids_stay_on_the_callers_thread(monkeypatch):
     monkeypatch.setattr(_util, "_cpus", lambda: 4)
     caller = threading.get_ident()
     seen = set()
@@ -87,7 +87,6 @@ def test_small_grids_and_the_fitter_stay_on_the_callers_thread(monkeypatch):
         seen.add(threading.get_ident())
         return x
     _pointwise(kernel, np.zeros(_util._THREADED_POINTS - 1))
-    _pointwise(kernel, np.zeros(_util._THREADED_POINTS), serial=True)
     _pointwise(kernel, np.zeros(_BLOCK))
     _pointwise(kernel, 0.5)
     assert seen == {caller}
