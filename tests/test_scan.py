@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import float_classes
 
+from fanolap import _util
 from fanolap import (
     ContourGrid,
     CrossSectionTrace,
@@ -316,6 +317,25 @@ def test_grid_evaluation_peak_memory(evaluate, bound):
     finally:
         tracemalloc.stop()
     assert peak / n <= bound
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_wide_contour_peak_memory(monkeypatch, cpus):
+    # twelve resonances on 200000 energies and three rows: the factors of
+    # the whole grid would take 192 bytes per energy; each thread holds
+    # those of one block of at most 16384 energies
+    monkeypatch.setattr(_util, "_THREADED_POINTS", 0)
+    monkeypatch.setattr(_util, "_cpus", lambda: cpus)
+    m = ScatteringModel(tuple(Resonance(p, 0.5 + 0.1 * k)
+                              for k, p in enumerate(np.linspace(-6.0, 6.0, 12))), 0.4)
+    n = 200000
+    tracemalloc.start()
+    try:
+        contour(m, EnergyGrid(-8.0, 10.0, n), -1.0, 1.0, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / n <= 100.0
 
 
 def test_trace_csv_format(tmp_path):
