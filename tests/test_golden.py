@@ -29,6 +29,7 @@ from fanolap import (
     Representation,
     Resonance,
     ScatteringModel,
+    contour,
     cross_section_noninteracting,
     double_pole_fano,
     epsilon,
@@ -348,6 +349,22 @@ def test_block_seam_outputs_on_threads(name, monkeypatch):
     monkeypatch.setattr(_util, "_THREADED_POINTS", 0)
     monkeypatch.setattr(_util, "_cpus", lambda: 2)
     assert _large_digest(name, SEAM_SIZES) == SEAM_GOLDEN[name]
+
+
+WIDE_CONTOUR_GOLDEN = "d39af43cc7949701cfb334baa4d60d28c41f96bde0b13e848549a4cb800dafd2"
+
+
+def test_wide_contours_on_threads(monkeypatch):
+    # contours wider than one block of 16384 energies go by blocks of
+    # energies, here on two threads; recorded with whole rows on one
+    monkeypatch.setattr(_util, "_THREADED_POINTS", 0)
+    monkeypatch.setattr(_util, "_cpus", lambda: 2)
+    h = hashlib.sha256()
+    for m, n, rows in ((TWELVE, 40000, 5), (THREE, 16385, 3), (TWO, 32769, 2)):
+        c = contour(m, EnergyGrid(-6.0, 6.0, n), -1.0, 2.0, rows)
+        assert c.sigma.shape == (rows, n)
+        h.update(c.sigma.tobytes())
+    assert h.hexdigest() == WIDE_CONTOUR_GOLDEN
 
 
 FORMATTER_GOLDEN = "ee688fa34b577ce9ec3e037ffb77c94e2dcb081127a163c5e7332a66a26d9df0"
