@@ -6,6 +6,7 @@ import math
 import operator
 import os
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -60,27 +61,40 @@ def _cpus():
         return os.cpu_count() or 1
 
 
-# Fewer energies (or contour cells) than this stay on the caller's thread.
-# Starting and joining a thread took 0.35-0.43 ms median and up to 5.6 ms
-# at p90 on a 2-vCPU VM.  There, twelve kernels of the grid_sweep benchmark
-# together took 0.98-1.06 times as long on two threads as on one at 2e5 and
-# 2.5e5 energies, 0.73-0.89 at 3e5, 0.68-0.71 at 4e5 and 5e5, and 0.64-0.67
-# at 6e5 to 1e6 (blocks of 16384, medians of 7, 1-2% steal).  2^19 leaves
-# room for a host that steals more; any value in (2e5, 722361] threads the
-# same calls of every benchmark workload.
-_THREADED_POINTS = 1 << 19
+# Work that would take less CPU time than this on one thread stays on the
+# caller's thread.  Starting and joining a thread took 0.35-0.43 ms median
+# and up to 5.6 ms at p90 on a 2-vCPU VM, and every numpy call hands the
+# interpreter lock from thread to thread, each handover waiting for the
+# host to run the other vCPU: on minutes when the host stole CPU time,
+# threaded grid_sweep runs spread several times as wide as serial ones.
+# So only long work pays for that risk.  There, the blocks after the
+# first of the 1e6-energy grid_sweep calls were estimated at 7-45 ms with
+# one or two resonances (most 1.05-1.3 times as fast on two threads) and
+# at 80-200 ms with twelve or in compare_representations (1.3-1.6 times
+# as fast); 60 ms leaves a third of room on either side.
+_THREADED_SECONDS = 0.06
 
 
-def _parallel(job, items, points):
-    """job(item) for each of a sized iterable of items that together cover
-    ``points`` energies or cells: on the caller's thread below
-    _THREADED_POINTS, else on min(_cpus(), len(items)) threads, the
+def _cpu_seconds(job, item):
+    """Run job(item) and return the CPU time it took on this thread.
+    CPU time leaves out the time other processes hold the CPU (and, on a
+    kernel that accounts steal, the time the host does), so a busy
+    machine does not make work look longer."""
+    t0 = time.thread_time()
+    job(item)
+    return time.thread_time() - t0
+
+
+def _parallel(job, items, seconds):
+    """job(item) for each of a sized iterable of items that together would
+    take ``seconds`` of CPU time on one thread: on the caller's thread
+    below _THREADED_SECONDS, else on min(_cpus(), len(items)) threads, the
     caller's among them; the others are started here and joined before
     this returns.  Each thread runs under the caller's numpy error state
     (a new thread does not inherit it), and the first exception a job
     raises is raised here once every thread has stopped.  Jobs must write
     disjoint outputs; then the order they run in changes no bit."""
-    n = min(_cpus(), len(items)) if points >= _THREADED_POINTS else 1
+    n = min(_cpus(), len(items)) if seconds >= _THREADED_SECONDS else 1
     if n <= 1:
         for item in items:
             job(item)
@@ -119,20 +133,23 @@ def _pointwise(kernel, energy):
     energy, applied one block of _BLOCK energies at a time into one output.
     A scalar energy is evaluated as a one-point grid and gives a Python
     scalar, so every energy gets the same bits on any grid or on its own.
-    The blocks after the first go to _parallel."""
+    The blocks after the first go to _parallel, with the first block's
+    CPU time scaled to them as their estimate."""
     e = np.asarray(energy, dtype=float)
     if e.ndim == 0:
         return kernel(e.reshape(1))[0].item()
     if e.size <= _BLOCK:
         return kernel(e)
     flat = e.reshape(-1)
+    t0 = time.thread_time()
     first = kernel(flat[:_BLOCK])
+    rest = (time.thread_time() - t0) * (flat.size - _BLOCK) / _BLOCK
     out = np.empty(flat.shape + first.shape[1:], first.dtype)
     out[:_BLOCK] = first
 
     def block(i):
         out[i:i + _BLOCK] = kernel(flat[i:i + _BLOCK])
-    _parallel(block, range(_BLOCK, flat.size, _BLOCK), flat.size)
+    _parallel(block, range(_BLOCK, flat.size, _BLOCK), rest)
     return out.reshape(e.shape + first.shape[1:])
 
 

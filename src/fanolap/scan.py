@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._g17 import format_csv
-from ._util import _count, _parallel, _pointwise, _read_text, _real, _write_all
+from ._util import _count, _cpu_seconds, _parallel, _pointwise, _read_text, _real, _write_all
 from .errors import DoublePoleSingularity, ValidationError
 from .model import (
     EnergyGrid,
@@ -201,7 +201,8 @@ def contour(m, g, delta_min, delta_max, n_delta, endpoint=True):
 
         def row_block(i):
             rows[i:i + step] = cross_section(_resonant_product(phases[i:i + step], factors))
-        _parallel(row_block, range(0, n_delta, step), rows.size)
+        first = _cpu_seconds(row_block, 0)
+        _parallel(row_block, range(step, n_delta, step), first * (n_delta - step) / step)
         return ContourGrid(e, deltas, rows)
     # A wider grid goes by equal blocks of at most `cells` energies, one row
     # at a time, each block making its own factors: 16 bytes per resonance
@@ -216,7 +217,8 @@ def contour(m, g, delta_min, delta_max, n_delta, endpoint=True):
         factors = list(_resonant_factors(m.resonances, e[a:b]))
         for i in range(n_delta):
             rows[i:i + 1, a:b] = cross_section(_resonant_product(phases[i:i + 1], factors))
-    _parallel(energy_block, range(n_blocks), rows.size)
+    first = _cpu_seconds(energy_block, 0)
+    _parallel(energy_block, range(1, n_blocks), first * (n_blocks - 1))
     return ContourGrid(e, deltas, rows)
 
 

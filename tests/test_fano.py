@@ -146,7 +146,7 @@ def test_grid_bits_independent_of_thread_count(name, monkeypatch):
             float(rng.uniform(-2.0, 2.0)),
         )
         values = []
-        monkeypatch.setattr(_util, "_THREADED_POINTS", 0)
+        monkeypatch.setattr(_util, "_THREADED_SECONDS", 0.0)
         for cpus in (1, 2, 4):
             monkeypatch.setattr(_util, "_cpus", lambda cpus=cpus: cpus)
             values.append(THREAD_CASES[name](m, g))
@@ -158,7 +158,7 @@ def test_worker_threads_keep_the_callers_error_state(monkeypatch):
     # errstate(divide="ignore"); numpy 2 keeps that state in a context
     # variable that a new thread does not inherit, and pytest turns the
     # warning a worker would then emit into an error
-    monkeypatch.setattr(_util, "_THREADED_POINTS", 0)
+    monkeypatch.setattr(_util, "_THREADED_SECONDS", 0.0)
     monkeypatch.setattr(_util, "_cpus", lambda: 4)
     m = ScatteringModel((Resonance(5.0, 1.0), Resonance(0.0, 2.0)), math.pi / 2)
     e = np.linspace(-3.0, 1.0, 3 * _BLOCK + 5)

@@ -346,7 +346,7 @@ def test_large_grid_outputs(name):
 def test_block_seam_outputs_on_threads(name, monkeypatch):
     # every grid of more than one block hands its later blocks to a
     # second thread, the one-energy last block of 32769 among them
-    monkeypatch.setattr(_util, "_THREADED_POINTS", 0)
+    monkeypatch.setattr(_util, "_THREADED_SECONDS", 0.0)
     monkeypatch.setattr(_util, "_cpus", lambda: 2)
     assert _large_digest(name, SEAM_SIZES) == SEAM_GOLDEN[name]
 
@@ -357,7 +357,7 @@ WIDE_CONTOUR_GOLDEN = "d39af43cc7949701cfb334baa4d60d28c41f96bde0b13e848549a4cb8
 def test_wide_contours_on_threads(monkeypatch):
     # contours wider than one block of 16384 energies go by blocks of
     # energies, here on two threads; recorded with whole rows on one
-    monkeypatch.setattr(_util, "_THREADED_POINTS", 0)
+    monkeypatch.setattr(_util, "_THREADED_SECONDS", 0.0)
     monkeypatch.setattr(_util, "_cpus", lambda: 2)
     h = hashlib.sha256()
     for m, n, rows in ((TWELVE, 40000, 5), (THREE, 16385, 3), (TWO, 32769, 2)):

@@ -3,6 +3,7 @@ what the threads hand back to the caller."""
 
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -13,8 +14,8 @@ from fanolap._util import _BLOCK, _parallel, _pointwise
 
 @pytest.fixture
 def threaded(monkeypatch):
-    """Thread grids of any size, on up to 4 threads."""
-    monkeypatch.setattr(_util, "_THREADED_POINTS", 0)
+    """Thread work of any length, on up to 4 threads."""
+    monkeypatch.setattr(_util, "_THREADED_SECONDS", 0.0)
     monkeypatch.setattr(_util, "_cpus", lambda: 4)
 
 
@@ -43,7 +44,7 @@ def test_thread_count_is_capped_by_the_items(monkeypatch, cpus):
     def job(item):
         seen.add(threading.get_ident())
         barrier.wait()
-    _parallel(job, range(2), _util._THREADED_POINTS)
+    _parallel(job, range(2), _util._THREADED_SECONDS)
     assert len(seen) == min(cpus, 2)
 
 
@@ -59,7 +60,7 @@ def test_every_item_runs_once_under_contention(threaded, monkeypatch):
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(5):
-            _parallel(job, range(counts.size), counts.size)
+            _parallel(job, range(counts.size), 1.0)
     finally:
         sys.setswitchinterval(interval)
     assert counts.tolist() == [5] * counts.size
@@ -78,20 +79,34 @@ def test_a_late_block_error_reaches_the_caller(threaded):
     assert set(threading.enumerate()) == before
 
 
-def test_small_grids_stay_on_the_callers_thread(monkeypatch):
+def _burn(seconds):
+    """Spend ``seconds`` of this thread's CPU time."""
+    t0 = time.thread_time()
+    while time.thread_time() - t0 < seconds:
+        pass
+
+
+def test_short_work_stays_on_the_callers_thread(monkeypatch):
     monkeypatch.setattr(_util, "_cpus", lambda: 4)
+    monkeypatch.setattr(_util, "_THREADED_SECONDS", 0.03)
     caller = threading.get_ident()
+    e = np.arange(3 * _BLOCK + 5, dtype=float)
     seen = set()
 
     def kernel(x):
         seen.add(threading.get_ident())
+        _burn(0.002)
         return x
-    _pointwise(kernel, np.zeros(_util._THREADED_POINTS - 1))
+    # the first block's CPU time, scaled to the other three, estimates
+    # about 0.006 s for them: below the threshold
+    _pointwise(kernel, e)
     _pointwise(kernel, np.zeros(_BLOCK))
     _pointwise(kernel, 0.5)
+    _parallel(lambda i: seen.add(threading.get_ident()), range(8), 0.029)
     assert seen == {caller}
-    # from _THREADED_POINTS energies on, another thread takes blocks: the
-    # caller's blocks after the first wait until one has
+    # a first block of 0.02 s estimates 0.06 s for the rest: another
+    # thread takes blocks, and the caller's blocks after the first wait
+    # until one has
     helped = threading.Event()
 
     def waiting(x):
@@ -99,9 +114,28 @@ def test_small_grids_stay_on_the_callers_thread(monkeypatch):
             helped.set()
         elif x[0] > 0.0:
             helped.wait(timeout=30)
+        else:
+            _burn(0.02)
         return x
-    _pointwise(waiting, np.arange(_util._THREADED_POINTS, dtype=float))
+    _pointwise(waiting, e)
     assert helped.is_set()
+
+
+def test_a_busy_host_does_not_lengthen_the_estimate(monkeypatch):
+    # the estimate is CPU time: a first block that waits a long wall time
+    # without using the CPU (as when the host runs another vCPU) keeps the
+    # rest on the caller's thread
+    monkeypatch.setattr(_util, "_cpus", lambda: 4)
+    monkeypatch.setattr(_util, "_THREADED_SECONDS", 0.03)
+    seen = set()
+
+    def kernel(x):
+        seen.add(threading.get_ident())
+        if x[0] == 0.0:
+            time.sleep(0.05)
+        return x
+    _pointwise(kernel, np.arange(3 * _BLOCK + 5, dtype=float))
+    assert seen == {threading.get_ident()}
 
 
 def test_cpus_counts_this_process():

@@ -324,7 +324,7 @@ def test_wide_contour_peak_memory(monkeypatch, cpus):
     # twelve resonances on 200000 energies and three rows: the factors of
     # the whole grid would take 192 bytes per energy; each thread holds
     # those of one block of at most 16384 energies
-    monkeypatch.setattr(_util, "_THREADED_POINTS", 0)
+    monkeypatch.setattr(_util, "_THREADED_SECONDS", 0.0)
     monkeypatch.setattr(_util, "_cpus", lambda: cpus)
     m = ScatteringModel(tuple(Resonance(p, 0.5 + 0.1 * k)
                               for k, p in enumerate(np.linspace(-6.0, 6.0, 12))), 0.4)
