@@ -64,14 +64,14 @@ def _cpus():
 # Work that would take less CPU time than this on one thread stays on the
 # caller's thread.  Starting and joining a thread took 0.35-0.43 ms median
 # and up to 5.6 ms at p90 on a 2-vCPU VM, and every numpy call hands the
-# interpreter lock from thread to thread, each handover waiting for the
-# host to run the other vCPU: on minutes when the host stole CPU time,
+# interpreter lock over, a contended handover waiting until the host runs
+# the other vCPU: on minutes when the host stole CPU time,
 # threaded grid_sweep runs spread several times as wide as serial ones.
 # So only long work pays for that risk.  There, the blocks after the
 # first of the 1e6-energy grid_sweep calls were estimated at 7-45 ms with
-# one or two resonances (most 1.05-1.3 times as fast on two threads) and
-# at 80-200 ms with twelve or in compare_representations (1.3-1.6 times
-# as fast); 60 ms leaves a third of room on either side.
+# one or two resonances (most 1.05-1.3 times as fast on two threads, one
+# 1.9) and at 80-200 ms with twelve or in compare_representations
+# (1.2-1.6 times as fast); 60 ms leaves a third of room on either side.
 _THREADED_SECONDS = 0.06
 
 
