@@ -46,6 +46,18 @@ def _count(value, field, least=2):
     return n
 
 
+# numpy refuses an array of more than this many complex values with a
+# ValueError and a traceback, not the MemoryError the CLI reports in one line
+_MAX_CELLS = np.iinfo(np.intp).max // 16
+
+
+def _cells(n, field):
+    """n, a count of grid cells, if an array of n complex values may be asked for."""
+    if n > _MAX_CELLS:
+        raise ValidationError("%s must be <= %d cells, got %d" % (field, _MAX_CELLS, n))
+    return n
+
+
 # energies per block of _pointwise: a block's complex temporaries (256 KB
 # each) stay in L2, and on two threads a block is long enough that handing
 # the interpreter lock back and forth between numpy calls costs little
@@ -73,16 +85,6 @@ def _cpus():
 # 1.9) and at 80-200 ms with twelve or in compare_representations
 # (1.2-1.6 times as fast); 60 ms leaves a third of room on either side.
 _THREADED_SECONDS = 0.06
-
-
-def _cpu_seconds(job, item):
-    """Run job(item) and return the CPU time it took on this thread.
-    CPU time leaves out the time other processes hold the CPU (and, on a
-    kernel that accounts steal, the time the host does), so a busy
-    machine does not make work look longer."""
-    t0 = time.thread_time()
-    job(item)
-    return time.thread_time() - t0
 
 
 def _parallel(job, items, seconds):

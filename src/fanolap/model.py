@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import _count, _json_text, _pointwise, _read_text, _real, _write_all
+from ._util import _cells, _count, _json_text, _pointwise, _read_text, _real, _write_all
 from .errors import ValidationError
 
 __all__ = [
@@ -73,7 +73,8 @@ class EnergyGrid:
             raise ValidationError(
                 "e_min must be < e_max, got %r >= %r" % (self.e_min, self.e_max)
             )
-        object.__setattr__(self, "n_points", _count(self.n_points, "n_points"))
+        n = _cells(_count(self.n_points, "n_points"), "n_points")
+        object.__setattr__(self, "n_points", n)
 
     def points(self):
         """Evaluation energies, endpoints included."""

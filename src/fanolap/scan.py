@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._g17 import format_csv
-from ._util import _count, _cpu_seconds, _parallel, _pointwise, _read_text, _real, _write_all
+from ._util import _cells, _count, _pointwise, _read_text, _real, _write_all
 from .errors import DoublePoleSingularity, ValidationError
 from .model import (
     EnergyGrid,
@@ -187,38 +187,28 @@ def contour(m, g, delta_min, delta_max, n_delta, endpoint=True):
             "delta_min must be < delta_max, got %r >= %r" % (delta_min, delta_max)
         )
     n_delta = _count(n_delta, "n_delta")
+    _cells(n_delta * g.n_points, "n_delta * n_points")
     e = g.points()
     deltas = np.linspace(delta_min, delta_max, n_delta, endpoint=endpoint)
     phases = np.exp(2j * deltas)[:, None]
     rows = np.empty((n_delta, e.size))
-    # cells per product, so each thread's complex temporaries stay near 256 KB
+    # Equal blocks of at most `cells` energies, each making its own resonance
+    # factors (16 bytes per resonance and energy of one block, not of the
+    # whole grid) and filling its columns `cells // width` rows per product,
+    # so the complex temporaries stay near 256 KB.  Equal blocks leave no
+    # one-energy block, whose broadcast product numpy would round another way.
     cells = 1 << 14
-    if e.size <= cells:
-        # one block of energies: its resonance factors are made once and
-        # shared by the row blocks
-        factors = list(_resonant_factors(m.resonances, e))
-        step = cells // e.size
-
-        def row_block(i):
-            rows[i:i + step] = cross_section(_resonant_product(phases[i:i + step], factors))
-        first = _cpu_seconds(row_block, 0)
-        _parallel(row_block, range(step, n_delta, step), first * (n_delta - step) / step)
-        return ContourGrid(e, deltas, rows)
-    # A wider grid goes by equal blocks of at most `cells` energies, one row
-    # at a time, each block making its own factors: 16 bytes per resonance
-    # and energy of one block on each thread, not of the whole grid.  Equal
-    # blocks leave no one-energy block, whose broadcast product numpy would
-    # round another way.
     n_blocks = -(-e.size // cells)
-    bounds = [e.size * k // n_blocks for k in range(n_blocks + 1)]
 
-    def energy_block(k):
-        a, b = bounds[k], bounds[k + 1]
+    def fill(a, b):
+        # a function of its own, so one block's factors are freed before
+        # the next block's are made
         factors = list(_resonant_factors(m.resonances, e[a:b]))
-        for i in range(n_delta):
-            rows[i:i + 1, a:b] = cross_section(_resonant_product(phases[i:i + 1], factors))
-    first = _cpu_seconds(energy_block, 0)
-    _parallel(energy_block, range(1, n_blocks), first * (n_blocks - 1))
+        step = cells // (b - a)
+        for i in range(0, n_delta, step):
+            rows[i:i + step, a:b] = cross_section(_resonant_product(phases[i:i + step], factors))
+    for k in range(n_blocks):
+        fill(e.size * k // n_blocks, e.size * (k + 1) // n_blocks)
     return ContourGrid(e, deltas, rows)
 
 

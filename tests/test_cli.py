@@ -458,6 +458,29 @@ def test_out_of_memory_is_a_one_line_diagnostic(tmp_path, model_file, monkeypatc
     assert not out.exists()
 
 
+_MAX_CELLS = np.iinfo(np.intp).max // 16
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["trace", "--n", "4000000000000000000"],
+     "n_points must be <= %d cells, got 4000000000000000000" % _MAX_CELLS),
+    (["trace", "--n", "10000000000000000000"],
+     "n_points must be <= %d cells, got 10000000000000000000" % _MAX_CELLS),
+    (["contour", "--n", "5", "--ndelta", "10000000000000000000"],
+     "n_delta * n_points must be <= %d cells, got 50000000000000000000" % _MAX_CELLS),
+], ids=["trace", "trace_past_int64", "contour"])
+def test_grid_beyond_any_array_is_validation_error(tmp_path, model_file, capsys, argv,
+                                                   message):
+    # numpy would refuse these sizes with a ValueError and a traceback; they
+    # are refused before anything is allocated
+    out = tmp_path / "o.csv"
+    code = run(argv[:1] + ["--model", model_file, "--emin", "-1", "--emax", "1"]
+               + argv[1:] + ["--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == "ValidationError: %s\n" % message
+    assert not out.exists()
+
+
 def test_output_path_collision_is_io_error(tmp_path, model_file, capsys):
     blocked = tmp_path / "blocked.csv"
     blocked.mkdir()

@@ -354,11 +354,9 @@ def test_block_seam_outputs_on_threads(name, monkeypatch):
 WIDE_CONTOUR_GOLDEN = "d39af43cc7949701cfb334baa4d60d28c41f96bde0b13e848549a4cb800dafd2"
 
 
-def test_wide_contours_on_threads(monkeypatch):
-    # contours wider than one block of 16384 energies go by blocks of
-    # energies, here on two threads; recorded with whole rows on one
-    monkeypatch.setattr(_util, "_THREADED_SECONDS", 0.0)
-    monkeypatch.setattr(_util, "_cpus", lambda: 2)
+def test_wide_contours():
+    # contours wider than one block of 16384 energies go by equal blocks of
+    # energies, each making its own factors; recorded with whole rows
     h = hashlib.sha256()
     for m, n, rows in ((TWELVE, 40000, 5), (THREE, 16385, 3), (TWO, 32769, 2)):
         c = contour(m, EnergyGrid(-6.0, 6.0, n), -1.0, 2.0, rows)

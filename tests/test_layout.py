@@ -1,6 +1,6 @@
 """Package layout checks: one public namespace, one file writer, one
-scalar validator, one per-energy evaluation, one home of threads, one
-trace CSV header and no power-of-two squares for the whole of
+scalar validator, one per-energy evaluation, one home and one caller of
+threads, one trace CSV header and no power-of-two squares for the whole of
 ``src/fanolap``."""
 
 import ast
@@ -100,19 +100,38 @@ def _concurrency_imports(tree):
     return found
 
 
+def _parallel_mentions(tree):
+    """The top-level definition around each mention of _parallel: its def,
+    a name, an attribute or an import ("<module>" outside any def)."""
+    found = []
+    for top in tree.body:
+        for node in ast.walk(top):
+            if ((isinstance(node, ast.FunctionDef) and node.name == "_parallel")
+                    or (isinstance(node, ast.Name) and node.id == "_parallel")
+                    or (isinstance(node, ast.Attribute) and node.attr == "_parallel")
+                    or (isinstance(node, ast.alias) and node.name == "_parallel")):
+                found.append(getattr(top, "name", "<module>"))
+    return found
+
+
 def test_only_util_imports_threads():
     # _util._parallel is the one place that starts threads, so the caller's
-    # error state and the join before return are kept in one place
-    offenders = []
+    # error state and the join before return are kept in one place; and
+    # _pointwise is its one caller, so a second threaded path needs a
+    # workload that reaches _THREADED_SECONDS and a change here
+    offenders, parallel = [], set()
     for path in sorted(SRC.glob("*.py")):
         if path.name == "_util.py":
             continue
         tree = ast.parse(path.read_text(encoding="utf-8"))
         offenders += ["%s:%d %s" % (path.name, line, what)
                       for line, what in _concurrency_imports(tree)]
+        parallel |= {(path.name, top) for top in _parallel_mentions(tree)}
     assert offenders == []
     util = ast.parse((SRC / "_util.py").read_text(encoding="utf-8"))
     assert [what for _, what in _concurrency_imports(util)] == ["threading"]
+    parallel |= {("_util.py", top) for top in _parallel_mentions(util)}
+    assert parallel == {("_util.py", "_parallel"), ("_util.py", "_pointwise")}
 
 
 def test_trace_header_is_spelled_once():

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import float_classes
 
-from fanolap import _util
 from fanolap import (
     ContourGrid,
     CrossSectionTrace,
@@ -319,23 +318,25 @@ def test_grid_evaluation_peak_memory(evaluate, bound):
     assert peak / n <= bound
 
 
-@pytest.mark.parametrize("cpus", [1, 2])
-def test_wide_contour_peak_memory(monkeypatch, cpus):
-    # twelve resonances on 200000 energies and three rows: the factors of
-    # the whole grid would take 192 bytes per energy; each thread holds
-    # those of one block of at most 16384 energies
-    monkeypatch.setattr(_util, "_THREADED_SECONDS", 0.0)
-    monkeypatch.setattr(_util, "_cpus", lambda: cpus)
+# traced peak bytes per energy, or per cell, against their bound
+@pytest.mark.parametrize("n, rows, units, bound", [
+    # the factors of the whole grid would take 192 bytes per energy; only
+    # those of one block of at most 16384 energies are held
+    (200000, 3, 200000, 100.0),
+    # the benchmark's grid: the rows, ContourGrid's checked copy of them and
+    # one row block's temporaries (17.1 bytes per cell measured)
+    (2001, 361, 2001 * 361, 18.0),
+], ids=["wide", "grid_sweep"])
+def test_wide_contour_peak_memory(n, rows, units, bound):
     m = ScatteringModel(tuple(Resonance(p, 0.5 + 0.1 * k)
                               for k, p in enumerate(np.linspace(-6.0, 6.0, 12))), 0.4)
-    n = 200000
     tracemalloc.start()
     try:
-        contour(m, EnergyGrid(-8.0, 10.0, n), -1.0, 1.0, 3)
+        contour(m, EnergyGrid(-8.0, 10.0, n), -1.0, 1.0, rows)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / n <= 100.0
+    assert peak / units <= bound
 
 
 def test_trace_csv_format(tmp_path):
