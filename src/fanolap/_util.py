@@ -130,14 +130,15 @@ def _parallel(job, items, seconds):
         raise failed[0]
 
 
-def _pointwise(kernel, energy):
+def _pointwise(kernel, energy, dtype=float):
     """kernel(e) for a kernel of a float array giving a value, or a row, per
     energy, applied one block of _BLOCK energies at a time into one output.
     A scalar energy is evaluated as a one-point grid and gives a Python
     scalar, so every energy gets the same bits on any grid or on its own.
     The blocks after the first go to _parallel, with the first block's
-    CPU time scaled to them as their estimate."""
-    e = np.asarray(energy, dtype=float)
+    CPU time scaled to them as their estimate.  ``dtype=None`` keeps the
+    input's own dtype, so a complex S is blocked as it is, not cast to float."""
+    e = np.asarray(energy, dtype=dtype)
     if e.ndim == 0:
         return kernel(e.reshape(1))[0].item()
     if e.size <= _BLOCK:

@@ -116,6 +116,13 @@ def _jacobian_internal(vec, energy):
     return _pointwise(rows, energy)
 
 
+def _normal_equations(vec, e, r):
+    """J^T r and J^T J of the Jacobian J at vec, which is freed on return,
+    so the next Jacobian is never made while this one is alive."""
+    jac = _jacobian_internal(vec, e)
+    return jac.T @ r, jac.T @ jac
+
+
 def initial_guess(trace):
     """Deterministic starting point read off the data.
 
@@ -203,12 +210,10 @@ def fit_fano(trace, guess=None, *, max_iter=200, tol_step=1e-10, tol_grad=1e-12,
     converged = False
     iterations = 0
     while iterations < max_iter:
-        jac = _jacobian_internal(p, e)
-        grad = jac.T @ r
+        grad, jtj = _normal_equations(p, e, r)
         if float(np.max(np.abs(2.0 * grad))) < tol_grad:
             converged = True
             break
-        jtj = jac.T @ jac
         diag = np.diag(jtj).copy()
         diag = np.maximum(diag, 1e-12 * max(1.0, float(diag.max())))
         accepted = False

@@ -10,7 +10,7 @@ import csv
 import itertools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -75,6 +75,31 @@ class TraceMeta:
     model: ScatteringModel | None = None
 
 
+def _span(x):
+    """(min, max) of a float array as floats, reduced without a boolean
+    array per value: both nan if it holds a nan, (0.0, 0.0) if it is empty."""
+    return (float(x.min()), float(x.max())) if x.size else (0.0, 0.0)
+
+
+def _owning(cls, *args):
+    """cls(*args) for arrays that nothing else holds, as trace and contour
+    make them: checked and made read-only in place instead of copied."""
+    obj = object.__new__(cls)
+    for f, value in zip(fields(cls), args):
+        object.__setattr__(obj, f.name, value)
+    obj._adopt()
+    return obj
+
+
+def _copying(obj):
+    """__post_init__ of a result built from a caller's arrays: each array
+    field is copied first, so no caller's array is aliased or frozen."""
+    for f in fields(obj):
+        if f.type is np.ndarray:
+            object.__setattr__(obj, f.name, np.array(getattr(obj, f.name), dtype=float))
+    obj._adopt()
+
+
 @dataclass(frozen=True, eq=False)
 class CrossSectionTrace:
     """Cross section sampled on strictly increasing energies."""
@@ -83,20 +108,22 @@ class CrossSectionTrace:
     sigma: np.ndarray
     meta: TraceMeta
 
-    def __post_init__(self):
-        e = np.array(self.energies, dtype=float)
-        s = np.array(self.sigma, dtype=float)
+    __post_init__ = _copying
+
+    def _adopt(self):
+        """Check the arrays and make them read-only."""
+        e, s = self.energies, self.sigma
         if e.ndim != 1 or s.ndim != 1 or e.size != s.size or e.size < 1:
             raise ValidationError("energies and sigma must be 1-d arrays of equal length")
-        if not (np.all(np.isfinite(e)) and np.all(np.isfinite(s))):
+        s_min, s_max = _span(s)
+        if not all(map(math.isfinite, _span(e) + (s_min, s_max))):
             raise ValidationError("trace values must be finite")
         if not np.all(e[1:] > e[:-1]):
             raise ValidationError("energies must be strictly increasing")
-        if np.any(s < 0.0):
+        if s_min < 0.0:
             raise ValidationError("cross sections are non-negative")
-        for name, arr in (("energies", e), ("sigma", s)):
+        for arr in (e, s):
             arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,19 +136,20 @@ class ContourGrid:
     deltas: np.ndarray
     sigma: np.ndarray
 
-    def __post_init__(self):
-        e = np.array(self.energies, dtype=float)
-        d = np.array(self.deltas, dtype=float)
-        s = np.array(self.sigma, dtype=float)
+    __post_init__ = _copying
+
+    def _adopt(self):
+        """Check the arrays and make them read-only."""
+        e, d, s = self.energies, self.deltas, self.sigma
         if e.ndim != 1 or d.ndim != 1 or s.shape != (d.size, e.size):
             raise ValidationError("sigma must have shape (len(deltas), len(energies))")
-        if not (np.all(np.isfinite(e)) and np.all(np.isfinite(d)) and np.all(np.isfinite(s))):
+        s_min, s_max = _span(s)
+        if not all(map(math.isfinite, _span(e) + _span(d) + (s_min, s_max))):
             raise ValidationError("contour values must be finite")
-        if np.any(s < 0.0) or np.any(s > 4.0 + UNITARITY_SLACK):
+        if s_min < 0.0 or s_max > 4.0 + UNITARITY_SLACK:
             raise ValidationError("contour entries must lie in [0, 4]")
-        for name, arr in (("energies", e), ("deltas", d), ("sigma", s)):
+        for arr in (e, d, s):
             arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,7 +203,7 @@ def trace(m, g, rep):
         raise ValidationError("unknown representation %r" % (rep,))
     # S of one block at a time, so no grid-sized S array is built
     sigma = _pointwise(lambda x: cross_section(s_of(x)), e)
-    return CrossSectionTrace(e, sigma, TraceMeta(rep.value, m.delta, m))
+    return _owning(CrossSectionTrace, e, sigma, TraceMeta(rep.value, m.delta, m))
 
 
 def contour(m, g, delta_min, delta_max, n_delta, endpoint=True):
@@ -209,7 +237,7 @@ def contour(m, g, delta_min, delta_max, n_delta, endpoint=True):
             rows[i:i + step, a:b] = cross_section(_resonant_product(phases[i:i + step], factors))
     for k in range(n_blocks):
         fill(e.size * k // n_blocks, e.size * (k + 1) // n_blocks)
-    return ContourGrid(e, deltas, rows)
+    return _owning(ContourGrid, e, deltas, rows)
 
 
 _FIG1_DELTAS = (0.0, 0.25 * math.pi, 0.5 * math.pi, 0.75 * math.pi)

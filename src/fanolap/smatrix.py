@@ -168,9 +168,9 @@ def s_double_pole(e_d, gamma_d, delta, energy):
 
 
 def cross_section(s):
-    """sigma = |1 - S|^2 in units of the maximal single-channel value."""
-    sigma = np.square(np.abs(1.0 - np.asarray(s)))
-    return sigma if sigma.ndim else sigma.item()
+    """sigma = |1 - S|^2 in units of the maximal single-channel value,
+    one block of S at a time, so no grid-sized 1 - S is built."""
+    return _pointwise(lambda x: np.square(np.abs(1.0 - x)), s, dtype=None)
 
 
 def cross_section_noninteracting(m, energy):

@@ -8,10 +8,10 @@ to re-implement in another language.
 """
 
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
-
 
 
 @pytest.fixture(autouse=True)
@@ -23,6 +23,16 @@ def no_thread_outlives_its_test():
     left = [t for t in threading.enumerate() if t not in before]
     if left:
         pytest.fail("threads still running after the test: %r" % left)
+
+
+def traced_peak(fn):
+    """Peak bytes traced by tracemalloc while fn() runs, its result included."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 LCG_A = 6364136223846793005

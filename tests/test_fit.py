@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import lcg_noise
+from conftest import lcg_noise, traced_peak
 
 from fanolap import (
     BadInitialGuess,
@@ -34,6 +34,15 @@ def synth(p, e_span=5.0, n=201, noise_seed=None, noise_amp=0.0):
     if noise_seed is not None:
         y = y + noise_amp * np.max(np.abs(y)) * lcg_noise(noise_seed, n)
     return CrossSectionTrace(e, y, TraceMeta("synthetic"))
+
+
+def test_fit_peak_memory():
+    # traced peak bytes per row: one Jacobian (40), the residuals of the
+    # current and the trial step and a profile (64.1 measured); the trace
+    # itself is made before tracing starts
+    n = 200000
+    tr = synth(FanoProfileModel(1.5, 0.3, 1.2, 0.8, 0.2), n=n, noise_seed=11, noise_amp=0.01)
+    assert traced_peak(lambda: fit_fano(tr)) / n <= 70.0
 
 
 def test_predict_window_dip_center():

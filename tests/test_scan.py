@@ -1,11 +1,10 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import float_classes
+from conftest import float_classes, traced_peak
 
 from fanolap import (
     ContourGrid,
@@ -87,6 +86,68 @@ def test_trace_invariants_enforced():
         CrossSectionTrace(e[::-1].copy(), np.ones(3), TraceMeta("x"))
     with pytest.raises(ValidationError):
         CrossSectionTrace(e, np.array([1.0, -0.5, 0.0]), TraceMeta("x"))
+
+
+_NOT_FINITE = [math.nan, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("where, bad, message", [
+    ("sigma", 0.0, None), ("sigma", -0.0, None), ("sigma", 4.0, None),
+    ("sigma", -5e-324, "cross sections are non-negative"),
+] + [(where, bad, "trace values must be finite")
+     for where in ("energies", "sigma") for bad in _NOT_FINITE])
+def test_trace_checks_each_value(where, bad, message):
+    arrays = {"energies": np.array([0.0, 1.0, 2.0]), "sigma": np.array([1.0, 2.0, 3.0])}
+    arrays[where][1] = bad
+    if message is None:
+        assert CrossSectionTrace(meta=TraceMeta("x"), **arrays).sigma[1] == bad
+    else:
+        with pytest.raises(ValidationError) as exc:
+            CrossSectionTrace(meta=TraceMeta("x"), **arrays)
+        assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("where, bad, message", [
+    ("sigma", 0.0, None), ("sigma", -0.0, None), ("sigma", 4.0 + 1e-12, None),
+    ("sigma", -5e-324, "contour entries must lie in [0, 4]"),
+    ("sigma", 4.0 + 2e-12, "contour entries must lie in [0, 4]"),
+] + [(where, bad, "contour values must be finite")
+     for where in ("energies", "deltas", "sigma") for bad in _NOT_FINITE])
+def test_contour_grid_checks_each_value(where, bad, message):
+    arrays = {"energies": np.array([0.0, 1.0]), "deltas": np.array([0.0, 1.0, 2.0]),
+              "sigma": np.ones((3, 2))}
+    arrays[where].flat[1] = bad
+    if message is None:
+        assert ContourGrid(**arrays).sigma.flat[1] == bad
+    else:
+        with pytest.raises(ValidationError) as exc:
+            ContourGrid(**arrays)
+        assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("n_energies, n_deltas", [(0, 0), (0, 3), (3, 0)])
+def test_empty_contour_grid_is_accepted(n_energies, n_deltas):
+    cg = ContourGrid(np.zeros(n_energies), np.zeros(n_deltas), np.zeros((n_deltas, n_energies)))
+    assert cg.sigma.shape == (n_deltas, n_energies)
+
+
+def test_results_own_their_arrays_and_callers_keep_theirs():
+    e, s = np.array([0.0, 1.0, 2.0]), np.array([1.0, 2.0, 3.0])
+    d, rows = np.array([0.0, 1.0]), np.ones((2, 3))
+    tr = CrossSectionTrace(e, s, TraceMeta("x"))
+    cg = ContourGrid(e, d, rows)
+    for a in (e, s, d, rows):
+        assert a.flags.writeable
+        a[...] = 2.5
+    assert tr.energies.tolist() == [0.0, 1.0, 2.0] and tr.sigma.tolist() == [1.0, 2.0, 3.0]
+    assert cg.energies.tolist() == [0.0, 1.0, 2.0] and cg.deltas.tolist() == [0.0, 1.0]
+    assert np.all(cg.sigma == 1.0)
+    # trace and contour hand over arrays of their own, frozen without a copy
+    g = EnergyGrid(-1.0, 1.0, 20001)
+    tr = trace(TWO_RES, g, Representation.UNITARY_PRODUCT)
+    cg = contour(TWO_RES, g, 0.0, 1.0, 2)
+    for a in (tr.energies, tr.sigma, cg.energies, cg.deltas, cg.sigma):
+        assert not a.flags.writeable
 
 
 def test_trace_arrays_are_frozen():
@@ -302,40 +363,32 @@ def test_compare_widely_separated_model():
 
 
 @pytest.mark.parametrize("evaluate, bound", [
-    (lambda g: trace(TWO_RES, g, Representation.UNITARY_PRODUCT), 36.0),
+    # the grid, sigma and one block's temporaries (21.3 bytes per point)
+    (lambda g: trace(TWO_RES, g, Representation.UNITARY_PRODUCT), 23.0),
     (lambda g: compare_representations(TWO_RES, g), 48.0),
-], ids=["trace", "compare_representations"])
+    # S and sigma, one block of 1 - S at a time (29.9 bytes per point)
+    (lambda g: cross_section(s_unitary_product(TWO_RES, g.points())), 31.0),
+], ids=["trace", "compare_representations", "cross_section"])
 def test_grid_evaluation_peak_memory(evaluate, bound):
     # traced peak bytes per point: the grid, the result arrays and one
     # block's temporaries, with no further grid-sized array
     n = 200000
-    tracemalloc.start()
-    try:
-        evaluate(EnergyGrid(-8.0, 10.0, n))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak / n <= bound
+    assert traced_peak(lambda: evaluate(EnergyGrid(-8.0, 10.0, n))) / n <= bound
 
 
 # traced peak bytes per energy, or per cell, against their bound
 @pytest.mark.parametrize("n, rows, units, bound", [
     # the factors of the whole grid would take 192 bytes per energy; only
-    # those of one block of at most 16384 energies are held
-    (200000, 3, 200000, 100.0),
-    # the benchmark's grid: the rows, ContourGrid's checked copy of them and
-    # one row block's temporaries (17.1 bytes per cell measured)
-    (2001, 361, 2001 * 361, 18.0),
+    # those of one block of at most 16384 energies are held (49.9 measured)
+    (200000, 3, 200000, 55.0),
+    # the benchmark's grid: the rows, which ContourGrid takes without a
+    # copy, and one row block's temporaries (9.5 bytes per cell measured)
+    (2001, 361, 2001 * 361, 11.0),
 ], ids=["wide", "grid_sweep"])
 def test_wide_contour_peak_memory(n, rows, units, bound):
     m = ScatteringModel(tuple(Resonance(p, 0.5 + 0.1 * k)
                               for k, p in enumerate(np.linspace(-6.0, 6.0, 12))), 0.4)
-    tracemalloc.start()
-    try:
-        contour(m, EnergyGrid(-8.0, 10.0, n), -1.0, 1.0, rows)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: contour(m, EnergyGrid(-8.0, 10.0, n), -1.0, 1.0, rows))
     assert peak / units <= bound
 
 

@@ -234,6 +234,35 @@ def test_cross_section_values():
     assert cross_section(cmath.exp(2j * math.pi / 4)) == pytest.approx(2.0, abs=1e-14)
 
 
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("n", [16383, 16384, 16385, 100003])
+def test_blocked_cross_section_has_the_bits_of_one_expression(n):
+    rng = np.random.default_rng(n)
+    s = rng.uniform(0.0, 1.5, n) * np.exp(1j * rng.uniform(-4.0, 4.0, n))
+    assert _same_bits(cross_section(s), np.square(np.abs(1.0 - s)))
+    strided = s[::3]  # not contiguous
+    assert _same_bits(cross_section(strided), np.square(np.abs(1.0 - strided)))
+
+
+def test_blocked_cross_section_keeps_shape_and_dtype():
+    rng = np.random.default_rng(5)
+    s = np.exp(1j * rng.uniform(-4.0, 4.0, (5, 20001)))
+    for x in (s, s[:, ::2], s.T, s.astype(np.complex64)):
+        assert _same_bits(cross_section(x), np.square(np.abs(1.0 - x)))
+
+
+def test_cross_section_of_a_0d_s_is_a_python_float():
+    rng = np.random.default_rng(6)
+    for v in rng.uniform(0.0, 1.5, 200) * np.exp(1j * rng.uniform(-4.0, 4.0, 200)):
+        for s in (v, complex(v), np.asarray(v)):
+            sigma = cross_section(s)
+            assert type(sigma) is float
+            assert sigma == np.square(np.abs(1.0 - np.asarray(s))).item()
+
+
 def test_cross_section_unitarity_bound():
     s = s_unitary_product(TWO_RES, GRID)
     sig = cross_section(s)
