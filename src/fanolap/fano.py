@@ -23,7 +23,7 @@ from .errors import (
     NoFiniteSolution,
     ValidationError,
 )
-from .model import _eps, _require_two_zero_delta, _two_resonances
+from .model import _capped_eps, _eps, _fano_sigma, _require_two_zero_delta, _two_resonances
 from .smatrix import _check_not_degenerate, _double_pole_args
 
 __all__ = [
@@ -104,7 +104,7 @@ def _interfering_phase(m, k, e):
     for index, r in enumerate(m.resonances):
         if index == k:
             continue
-        eps = _eps(e, r.position, r.width)
+        eps = _capped_eps(e, r)
         z = _times(z, (eps - 1j) / np.sqrt(eps * eps + 1.0))
     return z.real, z.imag
 
@@ -139,11 +139,8 @@ def fano_cross_section_dynamic(m, k, energy):
     """
     _check_index(m, k)
     r = m.resonances[k]
-    def kernel(e):
-        eps = _eps(e, r.position, r.width)
-        c, s = _interfering_phase(m, k, e)
-        return 4.0 * np.square(eps * s - c) / (eps * eps + 1.0)
-    return _pointwise(kernel, energy)
+    return _pointwise(lambda e: _fano_sigma(_capped_eps(e, r), *_interfering_phase(m, k, e)),
+                      energy)
 
 
 def fano_static_params(m):

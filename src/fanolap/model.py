@@ -91,6 +91,23 @@ def _eps(e, position, width):
     return 2.0 * (e - position) / width
 
 
+# eps*eps overflows past 1.3e154; at this cap 1/eps is 1e-150, so the resonance
+# factor and the Fano form are within about 1e-149 of their limits at infinite eps
+_EPS_CAP = 1e150
+
+
+def _capped_eps(e, r):
+    """_eps of resonance r at a float array e, clipped to +-_EPS_CAP; nan
+    stays nan.  np.clip's argument checks would double its cost on small grids."""
+    return _eps(e, r.position, r.width).clip(-_EPS_CAP, _EPS_CAP)
+
+
+def _fano_sigma(eps, c, s):
+    """Isolated Fano cross section 4*(eps*s - c)^2/(eps^2 + 1) of one resonance
+    at reduced energy eps, with cos and sin (c, s) of its interfering phase."""
+    return 4.0 * np.square(eps * s - c) / (eps * eps + 1.0)
+
+
 def epsilon(r, energy):
     """Reduced energy 2*(E - position)/width measured from the resonance."""
     return _pointwise(lambda e: _eps(e, r.position, r.width), energy)

@@ -16,7 +16,7 @@ import numpy as np
 
 from ._util import _pointwise, _real, _times
 from .errors import DoublePoleSingularity, ValidationError
-from .model import _require_two_zero_delta, complex_energy, resonance_phase
+from .model import _capped_eps, _fano_sigma, _require_two_zero_delta, complex_energy
 
 __all__ = [
     "Representation",
@@ -177,11 +177,9 @@ def cross_section_noninteracting(m, energy):
     """Incoherent reference curve sum_k 4*sin^2(delta + phase_k(E)).
 
     Adds each resonance's isolated cross section, ignoring interference, so
-    it may exceed the single-channel bound of 4.
+    it may exceed the single-channel bound of 4.  Term k is the Fano form
+    of a one-resonance model, 4*(eps_k*sin(delta) - cos(delta))^2/(eps_k^2 + 1).
     """
-    def kernel(e):
-        total = np.zeros(e.shape)
-        for r in m.resonances:
-            total = total + 4.0 * np.square(np.sin(m.delta + resonance_phase(r, e)))
-        return total
-    return _pointwise(kernel, energy)
+    z = np.exp(1j * m.delta)
+    return _pointwise(lambda e: sum(_fano_sigma(_capped_eps(e, r), z.real, z.imag)
+                                    for r in m.resonances), energy)

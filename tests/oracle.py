@@ -1,0 +1,37 @@
+"""Exact references for the evaluators, in fractions.Fraction arithmetic.
+
+Every float input is taken as the exact rational it stores, so a reference
+is exact in the inputs, and an evaluator's deviation from it is that
+evaluator's own rounding.  At delta = 0 the non-interacting cross section
+sum_k 4/(eps_k^2 + 1) is rational in the inputs.  At delta != 0 the float
+cos and sin of delta are taken as exact inputs, which measures every step
+after the phase.
+"""
+
+from fractions import Fraction
+
+import numpy as np
+
+EPS = 2.0 ** -52
+
+
+def noninteracting(m, e):
+    """sum_k 4*(eps_k*s - c)^2/(eps_k^2 + 1) at the float e, exactly, with
+    (c, s) the float real and imaginary parts of exp(1j*delta)."""
+    z = np.exp(1j * m.delta)
+    c, s = Fraction(float(z.real)), Fraction(float(z.imag))
+    total = Fraction(0)
+    for r in m.resonances:
+        x = 2 * (Fraction(e) - Fraction(r.position)) / Fraction(r.width)
+        total += 4 * (x * s - c) ** 2 / (x * x + 1)
+    return total
+
+
+def error_in_eps(values, energies, exact):
+    """max over the energies of |value - exact(e)| / max(exact(e), 1), in
+    units of the double epsilon 2**-52."""
+    worst = Fraction(0)
+    for v, e in zip(np.asarray(values).tolist(), np.asarray(energies).tolist()):
+        ref = exact(e)
+        worst = max(worst, abs(Fraction(v) - ref) / max(ref, Fraction(1)))
+    return float(worst) / EPS

@@ -558,3 +558,27 @@ def test_double_pole_fano_matches_smatrix_everywhere():
 
 def test_module_constants():
     assert fano.EQUAL_WIDTHS_RTOL == 1e-9
+
+
+# a pole of width 1e-10 next to one of width 1: past E = 6.7e143 its eps*eps
+# would overflow, and every form must still give the far-field limit
+FAR = ScatteringModel((Resonance(0.0, 1.0), Resonance(0.0, 1e-10)), delta=0.3)
+
+
+@pytest.mark.parametrize("energy", [1e144, 1e200, math.inf, -math.inf])
+def test_far_energies_give_the_limit(energy):
+    sigma = cross_section(s_unitary_product(FAR, 1e144))
+    assert sigma == 0.34932877018064334
+    for k in (0, 1):
+        assert fano_cross_section_dynamic(FAR, k, energy) == pytest.approx(sigma, rel=1e-15)
+        assert fano_q_dynamic(FAR, k, energy) == pytest.approx(-1.0 / math.tan(0.3), rel=1e-15)
+    assert cross_section_noninteracting(FAR, energy) == pytest.approx(2.0 * sigma, rel=1e-15)
+
+
+def test_nan_energy_gives_nan():
+    # the complex division of a nan reports an invalid value, as it always has
+    with np.errstate(invalid="ignore"):
+        for k in (0, 1):
+            assert math.isnan(fano_cross_section_dynamic(FAR, k, math.nan))
+            assert math.isnan(fano_q_dynamic(FAR, k, math.nan))
+    assert math.isnan(cross_section_noninteracting(FAR, math.nan))

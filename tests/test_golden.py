@@ -133,21 +133,21 @@ GOLDEN = {
     "fig2_default:fig2b_minus.csv": "bc3b1382c5f5278dcfa64452b8b9f789487335e059591bb83a2d95f2982d3e46",
     "fig2_default:fig2b_plus.csv": "5392a21ed91e83d722f213631c4958aa5da73f0822e850c0e57d42ed91178ac1",
     "qscan_large:q.csv": "ad8d8f2f96241e7176199751bb3580e59d7ce4a3a46e50729831e7c7b614516a",
-    "fig1:fig1a_dashed.csv": "04e0036b7cd2ba52033810b441e2c722bc480256cbf1c1c8d751bd0e03da9f0e",
+    "fig1:fig1a_dashed.csv": "dc10e0824c902609644cbc5523f86bf636ec02b5c74c14ab827ae4e6ac7f7be2",
     "fig1:fig1a_full.csv": "be2cbaa2886f9663337ed99f906ec632f118d8482a2d2b7f7e7aa5cb7b3f7eeb",
-    "fig1:fig1b_dashed.csv": "eaebdc673cb5ec2cad8915f4820723776fe4a9172c5001e161560d235389d667",
+    "fig1:fig1b_dashed.csv": "a1347332430f4af83000740d8dad5a7b9471c5f8a4cb21b481253ba32cf4e783",
     "fig1:fig1b_full.csv": "577157e5c8f9bf303308783324966a4674703f422480affa6d834ed94b2815a9",
-    "fig1:fig1c_dashed.csv": "6f612ee23ca3f96b0d3e8f97c449cbdd528b897241367ff85434fbceb4c46197",
+    "fig1:fig1c_dashed.csv": "4148f2f648a63455919290f3f8092ba9a22ceefb3d09fa7449a84a457dd33874",
     "fig1:fig1c_full.csv": "a8a96e8494757da7bc3a48bbdd66ac671777f0f04f41d6ebc140c8669e782c8a",
-    "fig1:fig1d_dashed.csv": "bb2dd14a71ebd4664a190f254673a23c354263b607d1fde7aef4b4ed37f425e3",
+    "fig1:fig1d_dashed.csv": "249909e76ef5288810d126fab66dea3cf578fa044a57f73237d8477d5234749b",
     "fig1:fig1d_full.csv": "517d093f59d3b93f5021282d17776429495d6a21537b1339fe104dffd9beb920",
-    "fig1_large:fig1a_dashed.csv": "65bfbb5d774bbed901c7fb45bf32953b58639d9a864c4fb3aeb80bdb645b5530",
+    "fig1_large:fig1a_dashed.csv": "886524976b8162d3ff5f20e966f616067ac3b6d7b739dcc0863bc97f589db259",
     "fig1_large:fig1a_full.csv": "539d007814cb99ab931e765daa075ad95d71b9ad9def2b26ebd6da2abf9de3fb",
-    "fig1_large:fig1b_dashed.csv": "c0ad049d017a7c201c7b7c38d13a97950d6d48bcef6bac129dd668b84158f47f",
+    "fig1_large:fig1b_dashed.csv": "98da7a2c5f086554121fa1c667dea53472d960b10942ea90c30371d9f61a98ad",
     "fig1_large:fig1b_full.csv": "31cd3bffd7911609a5f28405d51a7fa4f18403c3aeca8399a36100aecb0c3761",
-    "fig1_large:fig1c_dashed.csv": "a791d62fc51190faa2f682e3f5ce273aa389864fc7d7b64054188603f9f65177",
+    "fig1_large:fig1c_dashed.csv": "887dacb051c2c56dcdbf1d1d4ca1935c2872d17e05896a919b15d19b4f067eab",
     "fig1_large:fig1c_full.csv": "a7e577986a41da14563aa72cd3808c17999a2921cc63254274e0ba03b9602b3b",
-    "fig1_large:fig1d_dashed.csv": "23fb7bc89a6e660949f1696c118c49c1a279b071b2e2d78388e90f84f8d30cfe",
+    "fig1_large:fig1d_dashed.csv": "5a1e56aef6362f3a02e8356b41655b9ce0536e72674e94ee5a6d656d19c710c4",
     "fig1_large:fig1d_full.csv": "04eaaa62f8025cc5a06babcf2239dbb81319d8530134f466355acfa457967d5d",
     "fig2:fig2_contour.csv": "186af62d25d72f22a4073be75f6b4f36b83abea4dac24dafa68f0f949b523500",
     "fig2:fig2a_delta0.csv": "92c77fa342d819f38b656b2bd2d619cf52c5b3de40bb3c36ae06f8e4a001a1a7",
@@ -274,7 +274,7 @@ LARGE = {
 }
 
 LARGE_GOLDEN = {
-    "cross_section_noninteracting": "0d49176543c8b1e6a9712411501f76b22a356a6bca26596a657ad4ce8bda37e0",
+    "cross_section_noninteracting": "cf8bdbc9623bab2f396b5f711df82cb99c87c528423a03edff03b046f0a1a655",
     "double_pole_fano_q": "da3368fa9e671e6fe728ee21ecd87fb8568d0072654f0f17a9dfe01cd275e385",
     "double_pole_fano_sigma": "8482e240aec05708be203c5e1e1696fdba417a950e9de4e905ebfc45e7da1102",
     "epsilon": "6aaca63ca91d72f0d05c2aaf4b39791c7a1bd15192a941d698786114cd67d7f2",
@@ -304,7 +304,7 @@ LARGE_GOLDEN = {
 SEAM_SIZES = (16383, 16384, 16385, 32769)
 
 SEAM_GOLDEN = {
-    "cross_section_noninteracting": "06bccae79c4de52d6f4846593e21916583cf76f0d6fa885dcb0ec641e7a518dc",
+    "cross_section_noninteracting": "efc5b7895e01a29f18c81eaf9789e3acabc0cc9f43990b2cc6f7c9de6f82803f",
     "double_pole_fano_q": "4fb2221c5b92619d717eac3f26ec5d39a25014238186ec36f88d5c8f4f4c7f0b",
     "double_pole_fano_sigma": "7858233c9d26fad22356d9c48bde9adc7458f3aab4b72da94508d2c46d9de685",
     "epsilon": "84d522500a19b767ad2c966a525aec69b5d90e89610eff7194edc885ddcc4708",

@@ -210,3 +210,40 @@ def test_no_square_is_written_as_a_power():
                     and isinstance(node.right, ast.Constant) and node.right.value == 2):
                 hits.append("%s:%d" % (path.name, node.lineno))
     assert hits == []
+
+
+def _top_level_uses(tree, match):
+    """The top-level definition around each node ``match`` accepts."""
+    return [getattr(top, "name", "<module>")
+            for top in tree.body for node in ast.walk(top) if match(node)]
+
+
+def _np_trig(node):
+    return (isinstance(node, ast.Attribute) and node.attr in ("arctan", "sin", "cos")
+            and isinstance(node.value, ast.Name) and node.value.id == "np")
+
+
+def _fano_numerator(node):
+    """np.square(a * b - c), the numerator of the isolated Fano form."""
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "square" and len(node.args) == 1
+            and isinstance(node.args[0], ast.BinOp) and isinstance(node.args[0].op, ast.Sub)
+            and isinstance(node.args[0].left, ast.BinOp)
+            and isinstance(node.args[0].left.op, ast.Mult))
+
+
+def test_one_fano_kernel_and_one_trig_phase():
+    # the single-resonance form 4*(eps*s - c)^2/(eps^2 + 1) is written once,
+    # in model._fano_sigma, and the stable sigma and the non-interacting sum
+    # both call it; the arctan phase is resonance_phase's alone
+    trig, numerator, callers = set(), set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        trig |= {(path.name, top) for top in _top_level_uses(tree, _np_trig)}
+        numerator |= {(path.name, top) for top in _top_level_uses(tree, _fano_numerator)}
+        callers |= {(path.name, top) for top in _top_level_uses(
+            tree, lambda n: isinstance(n, ast.Name) and n.id == "_fano_sigma")}
+    assert trig == {("model.py", "resonance_phase")}
+    assert numerator == {("model.py", "_fano_sigma")}
+    assert callers == {("fano.py", "fano_cross_section_dynamic"),
+                       ("smatrix.py", "cross_section_noninteracting")}

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracle
+
 from fanolap import (
     DoublePoleSingularity,
     Representation,
@@ -16,6 +18,7 @@ from fanolap import (
     coupling_w_static,
     cross_section,
     cross_section_noninteracting,
+    fano_cross_section_dynamic,
     s_double_pole,
     s_pole,
     s_unitary_product,
@@ -276,12 +279,49 @@ def test_noninteracting_degenerate_pair_doubles():
 
 
 def test_noninteracting_single_is_breit_wigner():
+    # at delta = 0 the Fano form is 4*(eps*0 - 1)^2/(eps*eps + 1), whose
+    # bits are those of 4/(eps*eps + 1)
     m = ScatteringModel((Resonance(0.0, 1.0),))
     e = np.linspace(-4, 4, 101)
     eps = 2.0 * e
-    np.testing.assert_allclose(
-        cross_section_noninteracting(m, e), 4.0 / (eps * eps + 1.0), atol=1e-13
+    np.testing.assert_array_equal(cross_section_noninteracting(m, e), 4.0 / (eps * eps + 1.0))
+
+
+def _random_model(rng, n, delta):
+    return ScatteringModel(
+        tuple(Resonance(p, w) for p, w in zip(rng.uniform(-4.0, 4.0, n),
+                                              rng.uniform(0.01, 3.2, n))),
+        delta,
     )
+
+
+@pytest.mark.parametrize("zero_delta", [True, False])
+def test_noninteracting_error_against_the_exact_sum(zero_delta):
+    # 20 models of 1 to 6 resonances, 101 energies each, against exact
+    # rationals (oracle.py); measured max: 1.5 eps at delta = 0 and 2.1 eps
+    # at delta != 0, against 7.4 and 12.9 for 4*sin^2(delta + arctan(eps) - pi/2)
+    # (which works from delta, not from the float cos and sin taken as exact)
+    rng = np.random.default_rng(0)
+    e = np.linspace(-6.0, 6.0, 101)
+    worst = 0.0
+    for i in range(20):
+        m = _random_model(rng, 1 + i % 6, 0.0 if zero_delta else rng.uniform(-3.0, 3.0))
+        worst = max(worst, oracle.error_in_eps(cross_section_noninteracting(m, e), e,
+                                               lambda x: oracle.noninteracting(m, x)))
+    assert worst <= 3.0
+
+
+@pytest.mark.parametrize("n_res", [1, 2, 12])
+def test_noninteracting_is_the_ordered_sum_of_one_resonance_sections(n_res):
+    # one kernel: each term is fano_cross_section_dynamic of the resonance
+    # on its own, and one resonance is that section itself, bit for bit
+    rng = np.random.default_rng(n_res)
+    m = _random_model(rng, n_res, rng.uniform(-3.0, 3.0))
+    e = np.linspace(-6.0, 6.0, 3 * (1 << 14) + 5)
+    total = 0.0
+    for r in m.resonances:
+        total = total + fano_cross_section_dynamic(ScatteringModel((r,), m.delta), 0, e)
+    assert _same_bits(cross_section_noninteracting(m, e), total)
 
 
 def test_noninteracting_vanishes_off_resonance():
