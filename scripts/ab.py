@@ -1,0 +1,211 @@
+#!/usr/bin/env python3
+"""A/B runner for perfbench: the same workload and seeds on two revisions.
+
+    python3 scripts/ab.py --base REV --workload grid_sweep --seeds 101-110
+    python3 scripts/ab.py --base REV --workload cli_figures --seeds 1 2 3 --trace 1
+
+The base revision and the working tree (tracked and staged files as they
+are now, via ``git stash create``; untracked files are left out and named
+on stderr) are exported with ``git archive`` into temporary directories
+outside the checkout, so neither run sees the other's files or this
+checkout's scratch.  Pair i runs ``perfbench/run.py`` with the i-th seed
+on both sides for BENCHMARK.json's ``run_seconds``, the base first on even
+pairs and the head first on odd ones.  Each run records the share of CPU
+time the host stole while it ran (the ``steal`` column of ``/proc/stat``,
+read only).
+
+Per metric it prints the median and quartiles of each side, the median
+per-pair ratio head/base and how many pairs the head won, in the
+direction BENCHMARK.json gives.  It writes the raw per-pair numbers, the
+fingerprints, the summary and the two revisions compared to
+``BENCH_<short HEAD rev>.json``, one key per workload, trace mode, seed
+list and base, so later runs add their own.  The head is named by HEAD's
+short rev, with ``+wt`` and the ``git stash create`` commit when the
+working tree differs from HEAD.  It exits 1 if a run fails its gate, or
+if the two sides print different ``exact counts sha256`` lines for the
+same seed.
+"""
+
+import argparse
+import io
+import json
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+STEAL_GAP = 0.05  # flag a pair whose two runs' steal shares differ by more
+
+
+def git(*args):
+    return subprocess.run(["git", "-C", str(ROOT)] + list(args), check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
+def seeds(items):
+    """Seeds from arguments like ``7`` or ``101-110``."""
+    out = []
+    for item in items:
+        lo, _, hi = item.partition("-")
+        out += range(int(lo), int(hi or lo) + 1)
+    return out
+
+
+def working_tree():
+    """(commit to export, label) of the working tree."""
+    untracked = git("ls-files", "--others", "--exclude-standard")
+    if untracked:
+        print("ab: untracked files are not in the head export:\n  "
+              + untracked.replace("\n", "\n  "), file=sys.stderr)
+    stash = git("stash", "create")
+    if not stash:
+        return git("rev-parse", "HEAD"), git("rev-parse", "--short", "HEAD")
+    return stash, git("rev-parse", "--short", "HEAD") + "+wt"
+
+
+def export(rev, into):
+    data = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev],
+                          check=True, capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(data)) as tar:
+        # the "data" filter where this Python has it (3.10.12, 3.11.4 and later)
+        tar.extractall(into, **({"filter": "data"} if hasattr(tarfile, "data_filter") else {}))
+
+
+def cpu_ticks():
+    """(steal, total) jiffies of all CPUs, or None where /proc/stat is missing."""
+    try:
+        with open("/proc/stat", encoding="ascii") as fh:
+            fields = [int(x) for x in fh.readline().split()[1:]]
+    except OSError:
+        return None
+    # user nice system idle iowait irq softirq steal; guest time is inside user
+    return fields[7], sum(fields[:8])
+
+
+def run_once(tree, workload, seed, seconds, trace):
+    before = cpu_ticks()
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", str(trace)],
+        cwd=tree, capture_output=True, text=True)
+    after = cpu_ticks()
+    steal = None
+    if before and after and after[1] > before[1]:
+        steal = (after[0] - before[0]) / (after[1] - before[1])
+    lines = proc.stdout.splitlines()
+    run = {"returncode": proc.returncode, "steal_share": steal, "exact_counts": None,
+           "fingerprint": None, "result": None}
+    for line in lines:
+        if line.startswith("# exact counts sha256 "):
+            run["exact_counts"] = line.split()[-1]
+        elif line.startswith("# fingerprint "):
+            run["fingerprint"] = json.loads(line[len("# fingerprint "):])
+    try:
+        run["result"] = json.loads(lines[-1])
+    except (IndexError, ValueError):
+        run["stderr"] = proc.stderr[-2000:]
+    return run
+
+
+def quartiles(values):
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def summarize(pairs, better):
+    summary = {}
+    for name in pairs[0]["base"]["result"]["metrics"]:
+        b = [p["base"]["result"]["metrics"][name]["value"] for p in pairs]
+        h = [p["head"]["result"]["metrics"][name]["value"] for p in pairs]
+        ratios = [y / x if x else float("nan") for x, y in zip(b, h)]
+        lower = better.get(name, "lower") == "lower"
+        wins = sum((y < x) if lower else (y > x) for x, y in zip(b, h))
+        summary[name] = {"base": quartiles(b), "head": quartiles(h),
+                         "ratio_median": statistics.median(ratios),
+                         "head_won": wins, "pairs": len(pairs),
+                         "better": "lower" if lower else "higher"}
+    return summary
+
+
+def write_record(out, record):
+    """The record as JSON with one line per run, so the file diffs by run."""
+    runs = ",\n".join("  %s: %s" % (json.dumps(k), json.dumps(v, sort_keys=True))
+                      for k, v in sorted(record["runs"].items()))
+    out.write_text('{"runs": {\n%s\n}}\n' % runs, encoding="utf-8")
+
+
+def fmt(x):
+    return "%.4g" % x
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--base", required=True, help="git revision of the base side")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seeds", required=True, nargs="+", help="seeds, e.g. 1 2 3 or 101-110")
+    parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    args = parser.parse_args(argv)
+
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    seconds = bench["run_seconds"]
+    better = {m["name"]: m["better"] for m in bench["end_to_end"] + bench["per_layer"]}
+    base = (git("rev-parse", args.base), git("rev-parse", "--short", args.base))
+    head = working_tree()
+    pairs, ok = [], True
+    with tempfile.TemporaryDirectory(prefix="fanolap-ab-") as tmp:
+        trees = {}
+        for side, (rev, _) in (("base", base), ("head", head)):
+            trees[side] = Path(tmp) / side
+            export(rev, trees[side])
+        for i, seed in enumerate(seeds(args.seeds)):
+            order = ("base", "head") if i % 2 == 0 else ("head", "base")
+            pair = {"seed": seed, "first": order[0]}
+            for side in order:
+                pair[side] = run_once(trees[side], args.workload, seed, seconds, args.trace)
+            for side in order:
+                run = pair[side]
+                if run["result"] is None or not run["result"]["correct"]:
+                    ok = False
+                    print("ab: %s run failed at seed %d (exit %d)\n%s" % (
+                        side, seed, run["returncode"], run.get("stderr", "")), file=sys.stderr)
+            if pair["base"]["exact_counts"] != pair["head"]["exact_counts"]:
+                ok = False
+                print("ab: exact counts differ at seed %d: base %s, head %s" % (
+                    seed, pair["base"]["exact_counts"], pair["head"]["exact_counts"]),
+                    file=sys.stderr)
+            steal = (pair["base"]["steal_share"], pair["head"]["steal_share"])
+            flag = None not in steal and abs(steal[0] - steal[1]) > STEAL_GAP
+            print("# pair %d seed %d, %s first, steal base %s head %s%s" % (
+                i, seed, order[0], *("-" if s is None else "%.3f" % s for s in steal),
+                "  <- steal differs" if flag else ""), flush=True)
+            pairs.append(pair)
+
+    done = [p for p in pairs if p["base"]["result"] and p["head"]["result"]]
+    summary = summarize(done, better) if done else {}
+    label = "%s (seeds %s)" % (args.workload, " ".join(args.seeds))
+    print("| workload | metric | base | head | per-pair ratio | head won |")
+    print("|---|---|---|---|---|---|")
+    for k, (name, s) in enumerate(summary.items()):
+        b, h = s["base"], s["head"]
+        print("| %s | %s | %s [%s, %s] | %s [%s, %s] | %.3f | %d/%d |" % (
+            label if k == 0 else args.workload, name, fmt(b[1]), fmt(b[0]), fmt(b[2]),
+            fmt(h[1]), fmt(h[0]), fmt(h[2]), s["ratio_median"], s["head_won"], s["pairs"]))
+
+    out = ROOT / ("BENCH_%s.json" % git("rev-parse", "--short", "HEAD"))
+    record = json.loads(out.read_text(encoding="utf-8")) if out.exists() else {"runs": {}}
+    record["runs"]["%s.trace%d.seeds %s.base %s" % (
+        args.workload, args.trace, " ".join(args.seeds), base[1])] = {
+        "base": {"rev": base[0], "short": base[1]}, "head": {"rev": head[0], "short": head[1]},
+        "seconds": seconds, "pairs": pairs, "summary": summary, "ok": ok}
+    write_record(out, record)
+    print("# wrote %s" % out)
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -159,9 +159,10 @@ def _pointwise(kernel, energy, dtype=float):
 def _times(z, f):
     """z * f (z an array or numpy scalar) with z first on every grid size.
     numpy evaluates z * f as f * z where it can reuse a temporary f, and its
-    complex multiply is not bitwise commutative; so f is reused here, except
-    for one element, where an aliased output takes another rounding path."""
-    out = f if isinstance(f, np.ndarray) and f.shape == z.shape and f.size > 1 else None
+    complex multiply is not bitwise commutative; so f is reused here when the
+    product has its shape, except for one element, where an aliased output
+    takes another rounding path."""
+    out = f if isinstance(f, np.ndarray) and z.shape in ((), f.shape) and f.size > 1 else None
     return np.multiply(z, f, out)
 
 

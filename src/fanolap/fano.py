@@ -99,13 +99,22 @@ def _interfering_phase(m, k, e):
     Accumulated as a product of unit complex numbers, using that each
     resonance contributes exp(i*phase) = (eps - i)/sqrt(eps^2 + 1); this
     avoids arccot/trig round trips and keeps the pair exactly unimodular.
+    Each factor is (eps*w, -w), w = 1/sqrt(eps^2 + 1): the bits of numpy's
+    complex division by a real at finite eps, in a buffer that takes turns
+    with the product's.  fill() is cheaper than np.full on small grids.
     """
-    z = np.full(e.shape, np.exp(1j * m.delta), dtype=complex)
+    z, f = np.empty(e.shape, complex), np.empty(e.shape, complex)
+    z.fill(np.exp(1j * m.delta))
     for index, r in enumerate(m.resonances):
         if index == k:
             continue
         eps = _capped_eps(e, r)
-        z = _times(z, (eps - 1j) / np.sqrt(eps * eps + 1.0))
+        w = eps * eps
+        w += 1.0
+        np.divide(1.0, np.sqrt(w, out=w), out=w)
+        np.multiply(eps, w, out=f.real)
+        np.negative(w, out=f.imag)
+        z, f = _times(z, f), z
     return z.real, z.imag
 
 
@@ -256,8 +265,9 @@ def double_pole_fano(e_d, gamma_d, delta, energy):
 
     with eps = 2*(E - e_d)/gamma_d.  The sigma form is algebraically equal
     to 16*cos^2(delta)*(q_d + eps)^2/(eps^2 + 1)^2 but stays stable where
-    tan(delta) diverges.  q_d follows IEEE division: a signed infinity when
-    cos(delta) is exactly zero, a value of order 1e16 at float(pi/2).
+    tan(delta) diverges.  q_d follows IEEE arithmetic: a signed infinity when
+    cos(delta) is exactly zero or eps^2 overflows, a value of order 1e16 at
+    float(pi/2).  sigma clips eps to +-1e75, so far energies give its limit.
     Returns the pair (q_d, sigma).
     """
     e_d, gamma_d, delta = _double_pole_args(e_d, gamma_d, delta)
@@ -269,9 +279,10 @@ def double_pole_fano(e_d, gamma_d, delta, energy):
 
     def sigma(e):
         eps = _eps(e, e_d, gamma_d)
+        eps.clip(-1e75, 1e75, out=eps)  # (eps^2 + 1)^2 would overflow past 1.2e77
         x = eps * eps
         return 4.0 * np.square(s * (1.0 - x) + 2.0 * eps * c) / np.square(x + 1.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         tan = np.divide(s, c)
         q = _pointwise(q_d, energy)
     return q, _pointwise(sigma, energy)

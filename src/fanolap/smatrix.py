@@ -59,21 +59,27 @@ def s_unitary_product(m, energy):
     Exactly unimodular for real E and any number of resonances.
     """
     phase = np.exp(2j * m.delta)
-    # unnamed, so the starting array is freed once the first factor is applied
     return _pointwise(lambda e: _resonant_product(
-        np.full(e.shape, phase, dtype=complex), _resonant_factors(m.resonances, e)), energy)
+        phase, _resonant_factors(m.resonances, e.clip(-_E_CAP, _E_CAP))), energy)
+
+
+# at +-inf a factor is inf/inf; at this clip it is 1 within width/1e300, so S
+# takes its limit exp(2i*delta), and energies below it keep their bits
+_E_CAP = 1e300
 
 
 def _resonant_factors(resonances, e):
-    """Each resonance factor (e - conj(ce_k))/(e - ce_k), made as it is used."""
+    """Each resonance factor (e - conj(ce_k))/(e - ce_k), made as it is used;
+    the denominator is the numerator's exact conjugate, divided in place."""
     for r in resonances:
-        ce = complex_energy(r)
-        yield (e - ce.conjugate()) / (e - ce)
+        f = e - complex_energy(r).conjugate()
+        f /= f.conjugate()
+        yield f
 
 
 def _resonant_product(s, factors):
-    """s times each factor in turn; s broadcasts against a factor, so one
-    factor serves every row of a 2-d s."""
+    """s times each factor in turn; s broadcasts against a factor, so a
+    scalar s starts a product and one factor serves every row of a 2-d s."""
     for f in factors:
         s = _times(s, f)
     return s
