@@ -12,18 +12,23 @@ checkout's scratch.  Pair i runs ``perfbench/run.py`` with the i-th seed
 on both sides for BENCHMARK.json's ``run_seconds``, the base first on even
 pairs and the head first on odd ones.  Each run records the share of CPU
 time the host stole while it ran (the ``steal`` column of ``/proc/stat``,
-read only).
+read only) and, timed just before it, a fixed single-thread numpy loop of
+about 50 ms: the host can run a process at half speed while it steals
+almost nothing, and the probe shows that.  A pair is flagged when its two
+steal shares or its two probe times differ by more than set below.
 
 Per metric it prints the median and quartiles of each side, the median
-per-pair ratio head/base and how many pairs the head won, in the
-direction BENCHMARK.json gives.  It writes the raw per-pair numbers, the
-fingerprints, the summary and the two revisions compared to
-``BENCH_<short HEAD rev>.json``, one key per workload, trace mode, seed
-list and base, so later runs add their own.  The head is named by HEAD's
-short rev, with ``+wt`` and the ``git stash create`` commit when the
-working tree differs from HEAD.  It exits 1 if a run fails its gate, or
-if the two sides print different ``exact counts sha256`` lines for the
-same seed.
+per-pair ratio head/base, how many pairs the head won, in the direction
+BENCHMARK.json gives (ties count for neither side), and whether a gain may
+be claimed: the head won at least nine tenths of the pairs and the medians
+differ in its favour by more than the base's interquartile range.  It
+writes the raw per-pair numbers, the fingerprints, the summary and the
+two revisions compared to ``BENCH_<short HEAD rev>.json``, one key per
+workload, trace mode, seed list and base, so later runs add their own.
+The head is named by HEAD's short rev, with ``+wt`` and the ``git stash
+create`` commit when the working tree differs from HEAD.  It exits 1 if a
+run fails its gate, or if the two sides print different ``exact counts
+sha256`` lines for the same seed.
 """
 
 import argparse
@@ -34,10 +39,14 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 STEAL_GAP = 0.05  # flag a pair whose two runs' steal shares differ by more
+PROBE_GAP = 0.10  # flag a pair whose slower probe took this share longer
 
 
 def git(*args):
@@ -85,7 +94,20 @@ def cpu_ticks():
     return fields[7], sum(fields[:8])
 
 
+def probe():
+    """Seconds of a fixed single-thread numpy loop, 64 sines of 65536
+    doubles (23-72 ms between runs on a 2-vCPU VM): how fast the host runs
+    this process just now."""
+    x = np.linspace(0.0, 1.0, 1 << 16)
+    y = np.empty_like(x)
+    t0 = time.perf_counter()
+    for _ in range(64):
+        np.sin(x, out=y)
+    return time.perf_counter() - t0
+
+
 def run_once(tree, workload, seed, seconds, trace):
+    probe_s = probe()
     before = cpu_ticks()
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
@@ -96,8 +118,8 @@ def run_once(tree, workload, seed, seconds, trace):
     if before and after and after[1] > before[1]:
         steal = (after[0] - before[0]) / (after[1] - before[1])
     lines = proc.stdout.splitlines()
-    run = {"returncode": proc.returncode, "steal_share": steal, "exact_counts": None,
-           "fingerprint": None, "result": None}
+    run = {"returncode": proc.returncode, "steal_share": steal, "probe_s": probe_s,
+           "exact_counts": None, "fingerprint": None, "result": None}
     for line in lines:
         if line.startswith("# exact counts sha256 "):
             run["exact_counts"] = line.split()[-1]
@@ -117,7 +139,24 @@ def quartiles(values):
     return q1, q2, q3
 
 
+def pair_flags(pair):
+    """What makes a pair's two runs hard to compare: steal shares or probe
+    times further apart than STEAL_GAP or PROBE_GAP."""
+    flags = []
+    steal = (pair["base"]["steal_share"], pair["head"]["steal_share"])
+    if None not in steal and abs(steal[0] - steal[1]) > STEAL_GAP:
+        flags.append("steal differs")
+    fast, slow = sorted((pair["base"]["probe_s"], pair["head"]["probe_s"]))
+    if slow > (1.0 + PROBE_GAP) * fast:
+        flags.append("probe differs")
+    return flags
+
+
 def summarize(pairs, better):
+    """Per metric: each side's quartiles, the median per-pair ratio
+    head/base, the pairs the head won (ties count for neither) and
+    ``claim``: whether it won at least 9 of every 10 pairs and its median is
+    better than the base's by more than the base's interquartile range."""
     summary = {}
     for name in pairs[0]["base"]["result"]["metrics"]:
         b = [p["base"]["result"]["metrics"][name]["value"] for p in pairs]
@@ -125,10 +164,13 @@ def summarize(pairs, better):
         ratios = [y / x if x else float("nan") for x, y in zip(b, h)]
         lower = better.get(name, "lower") == "lower"
         wins = sum((y < x) if lower else (y > x) for x, y in zip(b, h))
-        summary[name] = {"base": quartiles(b), "head": quartiles(h),
+        qb, qh = quartiles(b), quartiles(h)
+        gain = qb[1] - qh[1] if lower else qh[1] - qb[1]
+        summary[name] = {"base": qb, "head": qh,
                          "ratio_median": statistics.median(ratios),
                          "head_won": wins, "pairs": len(pairs),
-                         "better": "lower" if lower else "higher"}
+                         "better": "lower" if lower else "higher",
+                         "claim": 10 * wins >= 9 * len(pairs) and gain > qb[2] - qb[0]}
     return summary
 
 
@@ -179,22 +221,24 @@ def main(argv=None):
                     seed, pair["base"]["exact_counts"], pair["head"]["exact_counts"]),
                     file=sys.stderr)
             steal = (pair["base"]["steal_share"], pair["head"]["steal_share"])
-            flag = None not in steal and abs(steal[0] - steal[1]) > STEAL_GAP
-            print("# pair %d seed %d, %s first, steal base %s head %s%s" % (
-                i, seed, order[0], *("-" if s is None else "%.3f" % s for s in steal),
-                "  <- steal differs" if flag else ""), flush=True)
+            print("# pair %d seed %d, %s first, steal base %s head %s, "
+                  "probe base %.1f head %.1f ms%s" % (
+                      i, seed, order[0], *("-" if s is None else "%.3f" % s for s in steal),
+                      1e3 * pair["base"]["probe_s"], 1e3 * pair["head"]["probe_s"],
+                      "".join("  <- " + f for f in pair_flags(pair))), flush=True)
             pairs.append(pair)
 
     done = [p for p in pairs if p["base"]["result"] and p["head"]["result"]]
     summary = summarize(done, better) if done else {}
     label = "%s (seeds %s)" % (args.workload, " ".join(args.seeds))
-    print("| workload | metric | base | head | per-pair ratio | head won |")
-    print("|---|---|---|---|---|---|")
+    print("| workload | metric | base | head | per-pair ratio | head won | gain claimable |")
+    print("|---|---|---|---|---|---|---|")
     for k, (name, s) in enumerate(summary.items()):
         b, h = s["base"], s["head"]
-        print("| %s | %s | %s [%s, %s] | %s [%s, %s] | %.3f | %d/%d |" % (
+        print("| %s | %s | %s [%s, %s] | %s [%s, %s] | %.3f | %d/%d | %s |" % (
             label if k == 0 else args.workload, name, fmt(b[1]), fmt(b[0]), fmt(b[2]),
-            fmt(h[1]), fmt(h[0]), fmt(h[2]), s["ratio_median"], s["head_won"], s["pairs"]))
+            fmt(h[1]), fmt(h[0]), fmt(h[2]), s["ratio_median"], s["head_won"], s["pairs"],
+            "yes" if s["claim"] else "no"))
 
     out = ROOT / ("BENCH_%s.json" % git("rev-parse", "--short", "HEAD"))
     record = json.loads(out.read_text(encoding="utf-8")) if out.exists() else {"runs": {}}

@@ -72,7 +72,11 @@ class FanoFitResult:
 def _profile(q, e0, gamma, a, b, e):
     eps = _eps(e, e0, gamma)
     qe = q + eps
-    return a * qe * qe / (eps * eps + 1.0) + b
+    f = a * qe  # a*qe*qe/(eps*eps + 1.0) + b, finished in f and eps
+    f *= qe
+    f /= np.add(np.multiply(eps, eps, out=eps), 1.0, out=eps)
+    f += b
+    return f
 
 
 def predict(p, energy):
@@ -90,7 +94,7 @@ def _unpack(vec):
 
 
 def _profile_internal(vec, energy):
-    q, e0, u, a, b = vec
+    q, e0, u, a, b = vec.tolist()
     gamma = math.exp(u)
     return _pointwise(lambda e: _profile(q, e0, gamma, a, b, e), energy)
 
@@ -98,19 +102,25 @@ def _profile_internal(vec, energy):
 def _jacobian_internal(vec, energy):
     """Derivatives of the profile with respect to (q, e0, log gamma,
     amplitude, offset), one column each."""
-    q, e0, u, a, _ = vec
+    q, e0, u, a, _ = vec.tolist()
     gamma = math.exp(u)
     def rows(e):
-        eps = _eps(e, e0, gamma)
-        denom = eps * eps + 1.0
-        qe = q + eps
+        # 2*a*qe/denom, then d f/d eps = 2*a*qe*(1 - q*eps)/denom^2 by the chain
+        # rule (d eps/d e0 = -2/gamma, d f/d log(gamma) = -eps*dfdeps): in place
         jac = np.empty((e.size, 5))
-        jac[:, 0] = 2.0 * a * qe / denom
-        # d f/d eps, then chain rule: d eps/d e0 = -2/gamma, d f/d log(gamma) = -eps*dfdeps
-        dfdeps = 2.0 * a * qe * (1.0 - q * eps) / (denom * denom)
-        jac[:, 1] = dfdeps * (-2.0 / gamma)
-        jac[:, 2] = dfdeps * (-eps)
-        jac[:, 3] = qe * qe / denom
+        eps = _eps(e, e0, gamma)
+        denom = eps * eps
+        denom += 1.0
+        qe = q + eps
+        dfdeps = 2.0 * a * qe
+        np.divide(dfdeps, denom, out=jac[:, 0])
+        tmp = q * eps
+        dfdeps *= np.subtract(1.0, tmp, out=tmp)
+        dfdeps /= np.multiply(denom, denom, out=tmp)
+        np.multiply(dfdeps, -2.0 / gamma, out=jac[:, 1])
+        np.multiply(dfdeps, np.negative(eps, out=eps), out=jac[:, 2])
+        qe *= qe
+        np.divide(qe, denom, out=jac[:, 3])
         jac[:, 4] = 1.0
         return jac
     return _pointwise(rows, energy)
@@ -119,8 +129,8 @@ def _jacobian_internal(vec, energy):
 def _normal_equations(vec, e, r):
     """J^T r and J^T J of the Jacobian J at vec, which is freed on return,
     so the next Jacobian is never made while this one is alive."""
-    jac = _jacobian_internal(vec, e)
-    return jac.T @ r, jac.T @ jac
+    jt = _jacobian_internal(vec, e).T
+    return jt.dot(r), jt.dot(jt.T)
 
 
 def initial_guess(trace):
@@ -202,42 +212,45 @@ def fit_fano(trace, guess=None, *, max_iter=200, tol_step=1e-10, tol_grad=1e-12,
 
     p = _pack(guess)
     with np.errstate(over="ignore", invalid="ignore"):
-        r = y - _profile_internal(p, e)
-    if not np.all(np.isfinite(r)):
+        r = _profile_internal(p, e)
+        np.subtract(y, r, out=r)
+    if not np.isfinite(r).all():
         raise BadInitialGuess("starting parameters give non-finite residuals")
-    cost = float(r @ r)
+    cost = float(r.dot(r))
 
     converged = False
     iterations = 0
     while iterations < max_iter:
         grad, jtj = _normal_equations(p, e, r)
-        if float(np.max(np.abs(2.0 * grad))) < tol_grad:
+        # every |2*g| below tol_grad: their max, and false if one is nan
+        if all(abs(2.0 * g) < tol_grad for g in grad.tolist()):
             converged = True
             break
-        diag = np.diag(jtj).copy()
-        diag = np.maximum(diag, 1e-12 * max(1.0, float(diag.max())))
-        accepted = False
+        diag = jtj.diagonal()
+        damping = np.diag(np.maximum(diag, 1e-12 * max(1.0, float(diag.max()))))
         while lam <= 1e15:
             try:
-                step = np.linalg.solve(jtj + lam * np.diag(diag), grad)
+                step = np.linalg.solve(jtj + lam * damping, grad)
             except np.linalg.LinAlgError:
                 step = None
             # a step whose width exp() cannot represent is rejected
-            if step is not None and np.all(np.isfinite(step)) and abs(p[2] + step[2]) < _U_MAX:
+            if (step is not None and all(map(math.isfinite, step.tolist()))
+                    and abs(p[2] + step[2]) < _U_MAX):
                 trial = p + step
                 with np.errstate(over="ignore", invalid="ignore"):
-                    r_trial = y - _profile_internal(trial, e)
-                    cost_trial = float(r_trial @ r_trial)
+                    r_trial = _profile_internal(trial, e)
+                    np.subtract(y, r_trial, out=r_trial)
+                    cost_trial = float(r_trial.dot(r_trial))
                 if math.isfinite(cost_trial) and cost_trial <= cost:
-                    accepted = True
                     break
             lam *= 10.0
         iterations += 1
-        if not accepted:
+        if lam > 1e15:  # no trial step was accepted
             break
         p, r, cost = trial, r_trial, cost_trial
         lam = max(lam / 10.0, 1e-15)
-        rel_step = float(np.linalg.norm(step)) / (float(np.linalg.norm(p)) + 1e-300)
+        # np.linalg.norm's own formula for a 1-d float array
+        rel_step = math.sqrt(step.dot(step)) / (math.sqrt(p.dot(p)) + 1e-300)
         if rel_step < tol_step:
             converged = True
             break
@@ -247,10 +260,8 @@ def fit_fano(trace, guess=None, *, max_iter=200, tol_step=1e-10, tol_grad=1e-12,
     residual_norm = math.sqrt(cost / n)
     jac = _jacobian_internal(p, e)
     jac[:, 2] /= model.gamma
-    dof = n - 5
-    variance = cost / dof if dof > 0 else float("inf")
-    cov = variance * np.linalg.pinv(jac.T @ jac)
-    uncertainties = tuple(math.sqrt(max(v, 0.0)) for v in np.diag(cov))
+    cov = cost / (n - 5) * np.linalg.pinv(jac.T.dot(jac))  # n >= 6 rows
+    uncertainties = tuple(math.sqrt(max(v, 0.0)) for v in cov.diagonal().tolist())
     return FanoFitResult(model, residual_norm, iterations, converged, uncertainties)
 
 

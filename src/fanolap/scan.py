@@ -405,9 +405,11 @@ def read_trace_csv(path):
             pass
     if data is None or (data.size and data.shape[1] != 2):
         raise ValidationError(_bad_line(path, text) or "trace file %s: malformed body" % path)
-    energies, sigma = data.reshape(-1, 2).T  # a header-only file parses as (0, 1)
+    del text, lines, rows  # free the text before the columns are copied out
+    # contiguous columns (a header-only file parses as (0, 1)), owned by the trace
+    energies, sigma = data.reshape(-1, 2).T.copy()
     try:
-        return CrossSectionTrace(energies, sigma, TraceMeta("csv"))
+        return _owning(CrossSectionTrace, energies, sigma, TraceMeta("csv"))
     except ValidationError as err:
         raise ValidationError("trace file %s: %s" % (path, err)) from err
 

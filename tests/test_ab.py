@@ -1,0 +1,90 @@
+"""The A/B runner's seed lists, pair flags, win counts and claim rule.
+
+scripts/ab.py is a script, not part of the package, so it is loaded by path.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parent.parent / "scripts" / "ab.py"
+_SPEC = importlib.util.spec_from_file_location("ab", _PATH)
+ab = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(ab)
+
+
+@pytest.mark.parametrize("items, expected", [
+    (["101-110"], list(range(101, 111))),
+    (["7"], [7]),
+    (["1", "2", "3"], [1, 2, 3]),
+    (["5", "8-9", "2"], [5, 8, 9, 2]),
+])
+def test_seeds(items, expected):
+    assert ab.seeds(items) == expected
+
+
+def _run(metrics, steal=0.0, probe=0.05):
+    return {"steal_share": steal, "probe_s": probe,
+            "result": {"metrics": {k: {"value": v} for k, v in metrics.items()}}}
+
+
+def _pairs(base, head, name="m"):
+    return [{"base": _run({name: b}), "head": _run({name: h})} for b, h in zip(base, head)]
+
+
+def test_wins_count_the_better_direction_and_not_ties():
+    base = [10.0, 10.0, 10.0, 10.0]
+    head = [9.0, 10.0, 11.0, 8.0]
+    lower = ab.summarize(_pairs(base, head), {"m": "lower"})["m"]
+    higher = ab.summarize(_pairs(base, head), {"m": "higher"})["m"]
+    assert (lower["head_won"], lower["pairs"], lower["better"]) == (2, 4, "lower")
+    assert (higher["head_won"], higher["pairs"], higher["better"]) == (1, 4, "higher")
+    assert lower["ratio_median"] == pytest.approx(0.95)
+
+
+def test_a_metric_not_in_the_benchmark_counts_lower_as_better():
+    s = ab.summarize(_pairs([2.0, 2.0], [1.0, 1.0]), {})["m"]
+    assert (s["better"], s["head_won"]) == ("lower", 2)
+
+
+_BASE = [100.0, 101.0, 99.0, 102.0, 98.0, 100.5, 99.5, 101.5, 98.5, 100.0]
+
+
+def test_claim_holds_at_nine_wins_of_ten_with_the_medians_apart():
+    head = [90.0] * 9 + [100.0]  # nine wins and a tie
+    s = ab.summarize(_pairs(_BASE, head), {"m": "lower"})["m"]
+    assert s["head_won"] == 9 and s["claim"]
+
+
+def test_claim_fails_at_eight_wins_of_ten():
+    head = [90.0] * 8 + [100.0, 103.0]
+    s = ab.summarize(_pairs(_BASE, head), {"m": "lower"})["m"]
+    assert s["head_won"] == 8 and not s["claim"]
+
+
+def test_claim_fails_when_the_medians_differ_by_less_than_the_base_spread():
+    # ten wins, but the base's quartiles lie 1.75 apart and the medians 0.6
+    head = [b - 0.6 for b in _BASE]
+    s = ab.summarize(_pairs(_BASE, head), {"m": "lower"})["m"]
+    base_iqr = s["base"][2] - s["base"][0]
+    assert s["head_won"] == 10 and s["base"][1] - s["head"][1] < base_iqr
+    assert not s["claim"]
+
+
+def test_claim_follows_the_metric_direction():
+    higher = [b + 10.0 for b in _BASE]
+    assert ab.summarize(_pairs(_BASE, higher), {"m": "higher"})["m"]["claim"]
+    assert not ab.summarize(_pairs(_BASE, higher), {"m": "lower"})["m"]["claim"]
+
+
+def test_pair_flags():
+    assert ab.pair_flags({"base": _run({}), "head": _run({})}) == []
+    far = {"base": _run({}, steal=0.0, probe=0.050), "head": _run({}, steal=0.2, probe=0.056)}
+    assert ab.pair_flags(far) == ["steal differs", "probe differs"]
+    near = {"base": _run({}, steal=None, probe=0.054), "head": _run({}, probe=0.050)}
+    assert ab.pair_flags(near) == []
+
+
+def test_probe_times_a_fixed_loop():
+    assert 0.0 < ab.probe() < 10.0
