@@ -12,10 +12,11 @@ checkout's scratch.  Pair i runs ``perfbench/run.py`` with the i-th seed
 on both sides for BENCHMARK.json's ``run_seconds``, the base first on even
 pairs and the head first on odd ones.  Each run records the share of CPU
 time the host stole while it ran (the ``steal`` column of ``/proc/stat``,
-read only) and, timed just before it, a fixed single-thread numpy loop of
-about 50 ms: the host can run a process at half speed while it steals
-almost nothing, and the probe shows that.  A pair is flagged when its two
-steal shares or its two probe times differ by more than set below.
+read only) and, just before it, the fastest of several short fixed
+single-thread numpy loops: the host can run a process at half speed while
+it steals almost nothing, and the probe shows that.  A pair is flagged when
+its two steal shares differ by more than set below, or its two probe times
+by more than the probes' own spreads together.
 
 Per metric it prints the median and quartiles of each side, the median
 per-pair ratio head/base, how many pairs the head won, in the direction
@@ -46,7 +47,8 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 STEAL_GAP = 0.05  # flag a pair whose two runs' steal shares differ by more
-PROBE_GAP = 0.10  # flag a pair whose slower probe took this share longer
+PROBE_LOOPS = 9  # short loops per probe, of PROBE_PASSES sines each
+PROBE_PASSES = 8
 
 
 def git(*args):
@@ -95,19 +97,25 @@ def cpu_ticks():
 
 
 def probe():
-    """Seconds of a fixed single-thread numpy loop, 64 sines of 65536
-    doubles (23-72 ms between runs on a 2-vCPU VM): how fast the host runs
-    this process just now."""
+    """(seconds, spread) of PROBE_LOOPS fixed single-thread numpy loops of
+    PROBE_PASSES sines of 65536 doubles: the fastest loop, which is how fast
+    the host runs this process just now with the interrupted loops left out,
+    and the median loop's excess over it as a share of it, which is how far
+    the same host spreads one probe."""
     x = np.linspace(0.0, 1.0, 1 << 16)
     y = np.empty_like(x)
-    t0 = time.perf_counter()
-    for _ in range(64):
-        np.sin(x, out=y)
-    return time.perf_counter() - t0
+    loops = []
+    for _ in range(PROBE_LOOPS):
+        t0 = time.perf_counter()
+        for _ in range(PROBE_PASSES):
+            np.sin(x, out=y)
+        loops.append(time.perf_counter() - t0)
+    fastest = min(loops)
+    return fastest, statistics.median(loops) / fastest - 1.0
 
 
 def run_once(tree, workload, seed, seconds, trace):
-    probe_s = probe()
+    probe_s, probe_spread = probe()
     before = cpu_ticks()
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
@@ -119,6 +127,7 @@ def run_once(tree, workload, seed, seconds, trace):
         steal = (after[0] - before[0]) / (after[1] - before[1])
     lines = proc.stdout.splitlines()
     run = {"returncode": proc.returncode, "steal_share": steal, "probe_s": probe_s,
+           "probe_spread": probe_spread,
            "exact_counts": None, "fingerprint": None, "result": None}
     for line in lines:
         if line.startswith("# exact counts sha256 "):
@@ -140,14 +149,16 @@ def quartiles(values):
 
 
 def pair_flags(pair):
-    """What makes a pair's two runs hard to compare: steal shares or probe
-    times further apart than STEAL_GAP or PROBE_GAP."""
+    """What makes a pair's two runs hard to compare: steal shares further
+    apart than STEAL_GAP, or a slower probe whose excess over the faster
+    one, as a share of it, exceeds the two probes' spreads added."""
     flags = []
     steal = (pair["base"]["steal_share"], pair["head"]["steal_share"])
     if None not in steal and abs(steal[0] - steal[1]) > STEAL_GAP:
         flags.append("steal differs")
     fast, slow = sorted((pair["base"]["probe_s"], pair["head"]["probe_s"]))
-    if slow > (1.0 + PROBE_GAP) * fast:
+    spread = pair["base"]["probe_spread"] + pair["head"]["probe_spread"]
+    if slow > (1.0 + spread) * fast:
         flags.append("probe differs")
     return flags
 
@@ -222,9 +233,10 @@ def main(argv=None):
                     file=sys.stderr)
             steal = (pair["base"]["steal_share"], pair["head"]["steal_share"])
             print("# pair %d seed %d, %s first, steal base %s head %s, "
-                  "probe base %.1f head %.1f ms%s" % (
+                  "probe base %.2f (+%.0f%%) head %.2f (+%.0f%%) ms%s" % (
                       i, seed, order[0], *("-" if s is None else "%.3f" % s for s in steal),
-                      1e3 * pair["base"]["probe_s"], 1e3 * pair["head"]["probe_s"],
+                      1e3 * pair["base"]["probe_s"], 100 * pair["base"]["probe_spread"],
+                      1e3 * pair["head"]["probe_s"], 100 * pair["head"]["probe_spread"],
                       "".join("  <- " + f for f in pair_flags(pair))), flush=True)
             pairs.append(pair)
 

@@ -63,6 +63,9 @@ def _cells(n, field):
 # the interpreter lock back and forth between numpy calls costs little
 # (blocks of 8192 took 21-25% longer on two threads, 5% longer on one)
 _BLOCK = 1 << 14
+# cells per block of one row per resonance: 2 MB, a core's L2, for a 12-resonance
+# q~ phase; at 1e6 energies, half or twice as many cells took 10-15% longer
+_CELLS = 1 << 16
 
 
 def _cpus():
@@ -130,40 +133,34 @@ def _parallel(job, items, seconds):
         raise failed[0]
 
 
-def _pointwise(kernel, energy, dtype=float):
-    """kernel(e) for a kernel of a float array giving a value, or a row, per
-    energy, applied one block of _BLOCK energies at a time into one output.
-    A scalar energy is evaluated as a one-point grid and gives a Python
-    scalar, so every energy gets the same bits on any grid or on its own.
-    The blocks after the first go to _parallel, with the first block's
-    CPU time scaled to them as their estimate.  ``dtype=None`` keeps the
-    input's own dtype, so a complex S is blocked as it is, not cast to float."""
+def _pointwise(kernel, energy, dtype=float, rows=1):
+    """kernel(e) of a 1-d float array giving a value, or a row, per energy,
+    into one output shaped like the energies, by blocks of _CELLS // rows
+    energies (at most _BLOCK) for a kernel holding ``rows`` values each.  A
+    one-energy block (a scalar gives a Python scalar) is evaluated as two:
+    numpy multiplies one complex element and sums an (N, 1) array along other
+    rounding paths.  Blocks after the first go to _parallel with the first's
+    CPU time scaled to them; ``dtype=None`` keeps a complex S complex."""
     e = np.asarray(energy, dtype=dtype)
-    if e.ndim == 0:
-        return kernel(e.reshape(1))[0].item()
-    if e.size <= _BLOCK:
+    if e.ndim == 1 and 1 < e.size <= _BLOCK and e.size * rows <= _CELLS:
         return kernel(e)
+    width = min(_BLOCK, max(2, _CELLS // rows))
+
+    def run(x):
+        return kernel(x) if x.size != 1 else kernel(x.repeat(2))[:1]
     flat = e.reshape(-1)
     t0 = time.thread_time()
-    first = kernel(flat[:_BLOCK])
-    rest = (time.thread_time() - t0) * (flat.size - _BLOCK) / _BLOCK
-    out = np.empty(flat.shape + first.shape[1:], first.dtype)
-    out[:_BLOCK] = first
+    out = run(flat[:width])
+    if flat.size > width:
+        rest = (time.thread_time() - t0) * (flat.size - width) / width
+        first, out = out, np.empty(flat.shape + out.shape[1:], out.dtype)
+        out[:width] = first
+        del first  # not held while the other blocks run
 
-    def block(i):
-        out[i:i + _BLOCK] = kernel(flat[i:i + _BLOCK])
-    _parallel(block, range(_BLOCK, flat.size, _BLOCK), rest)
-    return out.reshape(e.shape + first.shape[1:])
-
-
-def _times(z, f):
-    """z * f (z an array or numpy scalar) with z first on every grid size.
-    numpy evaluates z * f as f * z where it can reuse a temporary f, and its
-    complex multiply is not bitwise commutative; so f is reused here when the
-    product has its shape, except for one element, where an aliased output
-    takes another rounding path."""
-    out = f if isinstance(f, np.ndarray) and z.shape in ((), f.shape) and f.size > 1 else None
-    return np.multiply(z, f, out)
+        def block(i):
+            out[i:i + width] = run(flat[i:i + width])
+        _parallel(block, range(width, flat.size, width), rest)
+    return out[0].item() if e.ndim == 0 else out.reshape(e.shape + out.shape[1:])
 
 
 def _read_text(path, what):

@@ -16,14 +16,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import _count, _pointwise, _real, _times
+from ._util import _count, _pointwise, _real
 from .errors import (
     EqualWidthsSingularity,
     NegativeAkError,
     NoFiniteSolution,
     ValidationError,
 )
-from .model import _capped_eps, _eps, _fano_sigma, _require_two_zero_delta, _two_resonances
+from .model import _axis, _capped_eps, _eps, _fano_sigma, _ordered_product
+from .model import _require_two_zero_delta, _two_resonances
 from .smatrix import _check_not_degenerate, _double_pole_args
 
 __all__ = [
@@ -96,25 +97,26 @@ class ComplexFanoParams:
 def _interfering_phase(m, k, e):
     """cos and sin of delta plus the phases of all resonances other than k.
 
-    Accumulated as a product of unit complex numbers, using that each
-    resonance contributes exp(i*phase) = (eps - i)/sqrt(eps^2 + 1); this
-    avoids arccot/trig round trips and keeps the pair exactly unimodular.
-    Each factor is (eps*w, -w), w = 1/sqrt(eps^2 + 1): the bits of numpy's
-    complex division by a real at finite eps, in a buffer that takes turns
-    with the product's.  fill() is cheaper than np.full on small grids.
+    A product of unit complex numbers, one row per resonance l != k,
+    exp(i*phase_l) = (eps - i)/sqrt(eps^2 + 1) made as (eps*w, -w) with
+    w = 1/sqrt(eps^2 + 1), numpy's complex division by a real bit for bit:
+    no arccot/trig round trip, and the pair stays exactly unimodular.
     """
-    z, f = np.empty(e.shape, complex), np.empty(e.shape, complex)
-    z.fill(np.exp(1j * m.delta))
-    for index, r in enumerate(m.resonances):
-        if index == k:
-            continue
-        eps = _capped_eps(e, r)
-        w = eps * eps
-        w += 1.0
-        np.divide(1.0, np.sqrt(w, out=w), out=w)
-        np.multiply(eps, w, out=f.real)
-        np.negative(w, out=f.imag)
-        z, f = _times(z, f), z
+    phase = np.exp(1j * m.delta)
+    if len(m.resonances) == 1:  # k is the only resonance
+        z = np.full(e.shape, phase)
+        return z.real, z.imag
+    # one other resonance as scalars, which numpy broadcasts in fewer cycles than columns
+    r = m.resonances[1 - k] if len(m.resonances) == 2 else None
+    pos, width = (r.position, r.width) if r else _axis(m, k)[:2]
+    eps = _capped_eps(e, pos, width)
+    w = eps * eps
+    w += 1.0
+    np.divide(1.0, np.sqrt(w, out=w), out=w)
+    f = np.empty(eps.shape, complex)
+    np.multiply(eps, w, out=f.real)
+    np.negative(w, out=f.imag)
+    z = _ordered_product(phase, (f,) if r else f)
     return z.real, z.imag
 
 
@@ -135,7 +137,7 @@ def fano_q_dynamic(m, k, energy):
         c, s = _interfering_phase(m, k, e)
         return -c / s
     with np.errstate(divide="ignore"):
-        return _pointwise(kernel, energy)
+        return _pointwise(kernel, energy, rows=len(m.resonances))
 
 
 def fano_cross_section_dynamic(m, k, energy):
@@ -148,8 +150,9 @@ def fano_cross_section_dynamic(m, k, energy):
     """
     _check_index(m, k)
     r = m.resonances[k]
-    return _pointwise(lambda e: _fano_sigma(_capped_eps(e, r), *_interfering_phase(m, k, e)),
-                      energy)
+    return _pointwise(lambda e: _fano_sigma(_capped_eps(e, r.position, r.width),
+                                            *_interfering_phase(m, k, e)),
+                      energy, rows=len(m.resonances))
 
 
 def fano_static_params(m):
@@ -183,15 +186,18 @@ def fano_cross_section_static(p, m, energy):
 
     Equals the product-form |1 - S|^2 for the model the parameters came from.
     """
-    r1, r2 = _two_resonances(m, "fano_cross_section_static")
+    return _pointwise(_weighted_terms(p, m, "fano_cross_section_static",
+                                      lambda k, x: np.square(p.q + x) + (p.a1, p.a2)[k]), energy)
+
+
+def _weighted_terms(p, m, context, top):
+    """The kernel of sum_k sigma_ak * top(k, eps_k)/(eps_k^2 + 1) + sigma_b."""
+    r1, r2 = _two_resonances(m, context)
     def kernel(e):
         e1, e2 = _eps(e, r1.position, r1.width), _eps(e, r2.position, r2.width)
-        return (
-            p.sigma_a1 * (np.square(p.q + e1) + p.a1) / (e1 * e1 + 1.0)
-            + p.sigma_a2 * (np.square(p.q + e2) + p.a2) / (e2 * e2 + 1.0)
-            + p.sigma_b
-        )
-    return _pointwise(kernel, energy)
+        return (p.sigma_a1 * top(0, e1) / (e1 * e1 + 1.0)
+                + p.sigma_a2 * top(1, e2) / (e2 * e2 + 1.0) + p.sigma_b)
+    return kernel
 
 
 def fano_complex_params(p):
@@ -211,15 +217,9 @@ def fano_cross_section_complex(p, cp, m, energy):
     The squared modulus is evaluated on the complex numbers themselves, so
     this is an independent route to fano_cross_section_static.
     """
-    r1, r2 = _two_resonances(m, "fano_cross_section_complex")
-    def kernel(e):
-        e1, e2 = _eps(e, r1.position, r1.width), _eps(e, r2.position, r2.width)
-        return (
-            p.sigma_a1 * np.square(np.abs(cp.q1 + e1)) / (e1 * e1 + 1.0)
-            + p.sigma_a2 * np.square(np.abs(cp.q2 + e2)) / (e2 * e2 + 1.0)
-            + p.sigma_b
-        )
-    return _pointwise(kernel, energy)
+    q = (cp.q1, cp.q2)
+    return _pointwise(_weighted_terms(p, m, "fano_cross_section_complex",
+                                      lambda k, x: np.square(np.abs(q[k] + x))), energy)
 
 
 def window_energy(m):

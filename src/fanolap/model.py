@@ -77,8 +77,14 @@ class EnergyGrid:
         object.__setattr__(self, "n_points", n)
 
     def points(self):
-        """Evaluation energies, endpoints included."""
-        return np.linspace(self.e_min, self.e_max, self.n_points)
+        """Evaluation energies, endpoints included: np.linspace's arithmetic
+        and bits, without its argument handling, slow on small grids."""
+        step = (self.e_max - self.e_min) / (self.n_points - 1)
+        if not step:  # a subnormal step, which np.linspace scales another way
+            return np.linspace(self.e_min, self.e_max, self.n_points)
+        e = np.arange(float(self.n_points)) * step + self.e_min
+        e[-1] = self.e_max
+        return e
 
 
 def complex_energy(r):
@@ -96,10 +102,29 @@ def _eps(e, position, width):
 _EPS_CAP = 1e150
 
 
-def _capped_eps(e, r):
-    """_eps of resonance r at a float array e, clipped to +-_EPS_CAP; nan
-    stays nan.  np.clip's argument checks would double its cost on small grids."""
-    return _eps(e, r.position, r.width).clip(-_EPS_CAP, _EPS_CAP)
+def _capped_eps(e, position, width):
+    """_eps clipped to +-_EPS_CAP, nan kept, without np.clip's costly checks."""
+    return _eps(e, position, width).clip(-_EPS_CAP, _EPS_CAP)
+
+
+def _axis(m, skip=None):
+    """Positions, widths and conjugate pole energies of the resonances but
+    ``skip`` (one must remain) as (N, 1) columns, made once per model."""
+    axes = m.__dict__.setdefault("_axes", {})
+    if skip not in axes:
+        rows = [(r.position, r.width, complex_energy(r).conjugate())
+                for i, r in enumerate(m.resonances) if i != skip]
+        axes[skip] = [np.array(col).reshape(-1, 1) for col in zip(*rows)]
+    return axes[skip]
+
+
+def _ordered_product(s, f):
+    """s, a scalar or a column, times the rows of f in order, the running
+    product first: numpy's complex multiply is not bitwise commutative."""
+    z = np.multiply(s, f[0])
+    for l in range(1, len(f)):
+        np.multiply(z, f[l], out=z)
+    return z
 
 
 def _fano_sigma(eps, c, s):

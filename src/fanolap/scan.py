@@ -21,6 +21,7 @@ from .model import (
     EnergyGrid,
     Resonance,
     ScatteringModel,
+    _ordered_product,
     _require_two_zero_delta,
     epsilon,
     model_to_dict,
@@ -28,9 +29,8 @@ from .model import (
 from .smatrix import (
     Representation,
     _double_pole_args,
+    _factors,
     _pole_kernel,
-    _resonant_factors,
-    _resonant_product,
     coupling_w_static,
     cross_section,
     cross_section_noninteracting,
@@ -85,8 +85,8 @@ def _owning(cls, *args):
     """cls(*args) for arrays that nothing else holds, as trace and contour
     make them: checked and made read-only in place instead of copied."""
     obj = object.__new__(cls)
-    for f, value in zip(fields(cls), args):
-        object.__setattr__(obj, f.name, value)
+    for name, value in zip(cls.__dataclass_fields__, args):
+        object.__setattr__(obj, name, value)
     obj._adopt()
     return obj
 
@@ -116,9 +116,11 @@ class CrossSectionTrace:
         if e.ndim != 1 or s.ndim != 1 or e.size != s.size or e.size < 1:
             raise ValidationError("energies and sigma must be 1-d arrays of equal length")
         s_min, s_max = _span(s)
-        if not all(map(math.isfinite, _span(e) + (s_min, s_max))):
+        increasing = bool((e[1:] > e[:-1]).all())  # then finite if both ends are
+        ends = (e[0], e[-1]) if increasing else _span(e)
+        if not all(map(math.isfinite, ends + (s_min, s_max))):
             raise ValidationError("trace values must be finite")
-        if not np.all(e[1:] > e[:-1]):
+        if not increasing:
             raise ValidationError("energies must be strictly increasing")
         if s_min < 0.0:
             raise ValidationError("cross sections are non-negative")
@@ -193,16 +195,14 @@ def trace(m, g, rep):
         s_of = lambda x: s_pole(m, x, rep)
     elif rep is Representation.DOUBLE_POLE:
         if len(m.resonances) != 1:
-            raise ValidationError(
-                "the double-pole representation takes a one-resonance model "
-                "as the degenerate pole, got %d resonances" % len(m.resonances)
-            )
+            raise ValidationError("the double-pole representation takes a one-resonance model "
+                                  "as the degenerate pole, got %d resonances" % len(m.resonances))
         r = m.resonances[0]
         s_of = lambda x: s_double_pole(r.position, r.width, m.delta, x)
     else:
         raise ValidationError("unknown representation %r" % (rep,))
-    # S of one block at a time, so no grid-sized S array is built
-    sigma = _pointwise(lambda x: cross_section(s_of(x)), e)
+    # S of one block at a time, as wide as s_unitary_product's, which so never splits
+    sigma = _pointwise(lambda x: cross_section(s_of(x)), e, rows=len(m.resonances))
     return _owning(CrossSectionTrace, e, sigma, TraceMeta(rep.value, m.delta, m))
 
 
@@ -219,25 +219,11 @@ def contour(m, g, delta_min, delta_max, n_delta, endpoint=True):
     e = g.points()
     deltas = np.linspace(delta_min, delta_max, n_delta, endpoint=endpoint)
     phases = np.exp(2j * deltas)[:, None]
-    rows = np.empty((n_delta, e.size))
-    # Equal blocks of at most `cells` energies, each making its own resonance
-    # factors (16 bytes per resonance and energy of one block, not of the
-    # whole grid) and filling its columns `cells // width` rows per product,
-    # so the complex temporaries stay near 256 KB.  Equal blocks leave no
-    # one-energy block, whose broadcast product numpy would round another way.
-    cells = 1 << 14
-    n_blocks = -(-e.size // cells)
-
-    def fill(a, b):
-        # a function of its own, so one block's factors are freed before
-        # the next block's are made
-        factors = list(_resonant_factors(m.resonances, e[a:b]))
-        step = cells // (b - a)
-        for i in range(0, n_delta, step):
-            rows[i:i + step, a:b] = cross_section(_resonant_product(phases[i:i + step], factors))
-    for k in range(n_blocks):
-        fill(e.size * k // n_blocks, e.size * (k + 1) // n_blocks)
-    return _owning(ContourGrid, e, deltas, rows)
+    # a block of energies makes its factors, then all phase rows of its columns
+    # in at most _BLOCK complex cells, so cross_section never splits a block
+    sigma = _pointwise(lambda x: cross_section(_ordered_product(phases, _factors(m, x))).T,
+                       e, rows=len(m.resonances) + 4 * n_delta)
+    return _owning(ContourGrid, e, deltas, sigma.T)
 
 
 _FIG1_DELTAS = (0.0, 0.25 * math.pi, 0.5 * math.pi, 0.75 * math.pi)
@@ -320,7 +306,7 @@ def compare_representations(m, g):
     e = g.points()
     pairs = {}
     for name, col in zip(names, _pointwise(deviations, e).T):
-        i = int(np.argmax(col))  # column by column: an argmax over axis 0 copies every column
+        i = int(col.argmax())  # column by column: an argmax over axis 0 copies every column
         pairs[name] = {"max_abs_dev": float(col[i]), "argmax_energy": float(e[i])}
     return {
         "model": model_to_dict(m),

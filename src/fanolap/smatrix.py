@@ -14,9 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import _pointwise, _real, _times
+from ._util import _pointwise, _real
 from .errors import DoublePoleSingularity, ValidationError
-from .model import _capped_eps, _fano_sigma, _require_two_zero_delta, complex_energy
+from .model import _axis, _capped_eps, _fano_sigma, _ordered_product
+from .model import _require_two_zero_delta, complex_energy
 
 __all__ = [
     "Representation",
@@ -59,8 +60,8 @@ def s_unitary_product(m, energy):
     Exactly unimodular for real E and any number of resonances.
     """
     phase = np.exp(2j * m.delta)
-    return _pointwise(lambda e: _resonant_product(
-        phase, _resonant_factors(m.resonances, e.clip(-_E_CAP, _E_CAP))), energy)
+    return _pointwise(lambda e: _ordered_product(phase, _factors(m, e.clip(-_E_CAP, _E_CAP))),
+                      energy, rows=len(m.resonances))
 
 
 # at +-inf a factor is inf/inf; at this clip it is 1 within width/1e300, so S
@@ -68,21 +69,11 @@ def s_unitary_product(m, energy):
 _E_CAP = 1e300
 
 
-def _resonant_factors(resonances, e):
-    """Each resonance factor (e - conj(ce_k))/(e - ce_k), made as it is used;
-    the denominator is the numerator's exact conjugate, divided in place."""
-    for r in resonances:
-        f = e - complex_energy(r).conjugate()
-        f /= f.conjugate()
-        yield f
-
-
-def _resonant_product(s, factors):
-    """s times each factor in turn; s broadcasts against a factor, so a
-    scalar s starts a product and one factor serves every row of a 2-d s."""
-    for f in factors:
-        s = _times(s, f)
-    return s
+def _factors(m, e):
+    """Row k: (e - conj(ce_k))/(e - ce_k), over the numerator's exact conjugate."""
+    f = e - _axis(m)[2]
+    f /= f.conjugate()
+    return f
 
 
 def _check_not_degenerate(m, context):
@@ -187,5 +178,6 @@ def cross_section_noninteracting(m, energy):
     of a one-resonance model, 4*(eps_k*sin(delta) - cos(delta))^2/(eps_k^2 + 1).
     """
     z = np.exp(1j * m.delta)
-    return _pointwise(lambda e: sum(_fano_sigma(_capped_eps(e, r), z.real, z.imag)
-                                    for r in m.resonances), energy)
+    return _pointwise(lambda e: np.add.reduce(_fano_sigma(_capped_eps(e, *_axis(m)[:2]),
+                                                          z.real, z.imag)),
+                      energy, rows=len(m.resonances))

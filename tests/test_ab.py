@@ -24,8 +24,8 @@ def test_seeds(items, expected):
     assert ab.seeds(items) == expected
 
 
-def _run(metrics, steal=0.0, probe=0.05):
-    return {"steal_share": steal, "probe_s": probe,
+def _run(metrics, steal=0.0, probe=0.05, spread=0.04):
+    return {"steal_share": steal, "probe_s": probe, "probe_spread": spread,
             "result": {"metrics": {k: {"value": v} for k, v in metrics.items()}}}
 
 
@@ -82,9 +82,33 @@ def test_pair_flags():
     assert ab.pair_flags({"base": _run({}), "head": _run({})}) == []
     far = {"base": _run({}, steal=0.0, probe=0.050), "head": _run({}, steal=0.2, probe=0.056)}
     assert ab.pair_flags(far) == ["steal differs", "probe differs"]
-    near = {"base": _run({}, steal=None, probe=0.054), "head": _run({}, probe=0.050)}
+    near = {"base": _run({}, steal=None, probe=0.054), "head": _run({}, probe=0.052)}
     assert ab.pair_flags(near) == []
 
 
+@pytest.mark.parametrize("spreads, flagged", [
+    ((0.01, 0.01), True),   # 6% apart, each probe steady within 1%
+    ((0.01, 0.07), False),  # the spreads add up to 8%: 6% is within them
+    ((0.07, 0.0), False),
+    ((0.02, 0.03), True),
+])
+def test_probe_flag_follows_the_probes_own_spread(spreads, flagged):
+    pair = {"base": _run({}, probe=0.050, spread=spreads[0]),
+            "head": _run({}, probe=0.053, spread=spreads[1])}
+    assert (ab.pair_flags(pair) == ["probe differs"]) == flagged
+
+
+def test_probe_takes_the_fastest_of_its_loops(monkeypatch):
+    # loops of 5, 3, 4, 9, 3.5, 6, 3.2, 8 and 4.5 ms: the fastest is 3 ms,
+    # the median 4.5 ms, a spread of half the fastest
+    loops = [5.0, 3.0, 4.0, 9.0, 3.5, 6.0, 3.2, 8.0, 4.5]
+    assert len(loops) == ab.PROBE_LOOPS
+    ticks = iter([t for ms in loops for t in (0.0, ms / 1e3)])
+    monkeypatch.setattr(ab.time, "perf_counter", lambda: next(ticks))
+    fastest, spread = ab.probe()
+    assert fastest == pytest.approx(3e-3) and spread == pytest.approx(0.5)
+
+
 def test_probe_times_a_fixed_loop():
-    assert 0.0 < ab.probe() < 10.0
+    fastest, spread = ab.probe()
+    assert 0.0 < fastest < 10.0 and spread >= 0.0

@@ -1,11 +1,15 @@
-"""The per-resonance factor loops keep the bits of their plain formulas.
+"""The stacked resonance rows keep the bits of their plain formulas.
 
-`fano._interfering_phase` builds each unit factor (eps - i)/sqrt(eps^2 + 1)
-from a real reciprocal, and `smatrix._resonant_factors` divides each
-numerator by its exact conjugate in place.  Both must give the bits of the
-written-out expressions on every grid size, including the one-element grid
-(where numpy's complex multiply takes another path) and the sizes around a
-block, for reduced energies from 1e-8 to 1e8 and at the +-1e150 clip.
+`fano._interfering_phase` makes one unit factor (eps - i)/sqrt(eps^2 + 1)
+per other resonance, as rows of one array, from a real reciprocal;
+`smatrix._factors` makes each quotient (e - conj(ce))/(e - ce) as a row,
+divided by its exact conjugate in place; `model._ordered_product` takes the
+rows in order l = 0, 1, ...; and `cross_section_noninteracting` sums one row
+per resonance.  Each must give the bits of the written-out per-resonance
+expressions below on every grid size, including the one-element grid (where
+numpy's complex multiply takes another path, and a sum over an (N, 1)
+array is pairwise), a grid whose last block holds one energy, and the sizes
+around a block, for reduced energies from 1e-8 to 1e8 and at the +-1e150 clip.
 """
 
 import math
@@ -21,15 +25,16 @@ from fanolap import (
     complex_energy,
     contour,
     cross_section,
+    cross_section_noninteracting,
     double_pole_fano,
     s_double_pole,
     s_unitary_product,
     trace,
 )
-from fanolap._util import _times
+from fanolap._util import _BLOCK, _CELLS, _pointwise
 from fanolap.fano import _interfering_phase
-from fanolap.model import _EPS_CAP
-from fanolap.smatrix import _resonant_factors
+from fanolap.model import _EPS_CAP, _ordered_product
+from fanolap.smatrix import _factors
 
 SIZES = (1, 2, 64, 16384, 16385)
 
@@ -58,6 +63,14 @@ def _energies(rng, m, size):
     return pos + half * eps
 
 
+def _times(z, f):
+    """z * f with z first on every grid size, as a product of the
+    reference takes it: f is reused when the product has its shape, except
+    for one element, where an aliased output takes another rounding path."""
+    out = f if isinstance(f, np.ndarray) and z.shape in ((), f.shape) and f.size > 1 else None
+    return np.multiply(z, f, out)
+
+
 def _phase_reference(m, k, e):
     """cos and sin of the interfering phase, with the complex division."""
     z = np.full(e.shape, np.exp(1j * m.delta), dtype=complex)
@@ -68,8 +81,43 @@ def _phase_reference(m, k, e):
     return z.real, z.imag
 
 
+def _product_reference(m, e):
+    """The product form, one quotient per resonance, phase first."""
+    e = np.clip(e, -1e300, 1e300)
+    s = np.exp(2j * m.delta)
+    for r in m.resonances:
+        ce = complex_energy(r)
+        s = _times(s, (e - ce.conjugate()) / (e - ce))
+    return s
+
+
+def _noninteracting_reference(m, e):
+    """The isolated Fano terms of the resonances, added one by one."""
+    z = np.exp(1j * m.delta)
+    total = 0
+    for r in m.resonances:
+        eps = np.clip(2.0 * (e - r.position) / r.width, -_EPS_CAP, _EPS_CAP)
+        total = total + 4.0 * np.square(eps * z.imag - z.real) / (eps * eps + 1.0)
+    return total
+
+
+def _width(n):
+    """Energies per block of _pointwise for a kernel of n rows."""
+    return min(_BLOCK, _CELLS // n)
+
+
 def _cases():
-    return [(n, size) for n in range(1, 13) for size in SIZES]
+    # SIZES, and a grid whose last block holds one energy unless SIZES has it
+    return [(n, size) for n in range(1, 13)
+            for size in SIZES + tuple({2 * _width(n) + 1} - set(SIZES))]
+
+
+def _phase_in_blocks(m, k, e):
+    """_interfering_phase through _pointwise's blocks, as fano_q_dynamic
+    and fano_cross_section_dynamic evaluate it."""
+    cs = _pointwise(lambda x: np.stack(_interfering_phase(m, k, x), axis=-1), e,
+                    rows=len(m.resonances))
+    return cs[:, 0], cs[:, 1]
 
 
 @pytest.mark.parametrize("n, size", _cases())
@@ -78,9 +126,12 @@ def test_interfering_phase_has_the_bits_of_the_complex_division(n, size):
     m = _model(rng, n)
     e = _energies(rng, m, size)
     for k in {0, n // 2, n - 1}:
-        c, s = _interfering_phase(m, k, e)
         c_ref, s_ref = _phase_reference(m, k, e)
+        c, s = _phase_in_blocks(m, k, e)
         assert _same_bits(c, c_ref) and _same_bits(s, s_ref), (n, size, k)
+        if size > 1:  # a kernel's block holds two or more energies
+            c, s = _interfering_phase(m, k, e)
+            assert _same_bits(c, c_ref) and _same_bits(s, s_ref), (n, size, k)
 
 
 @pytest.mark.parametrize("n, size", _cases())
@@ -88,26 +139,91 @@ def test_resonant_factors_have_the_bits_of_the_quotient(n, size):
     rng = np.random.default_rng(2000 * n + size)
     m = _model(rng, n)
     e = _energies(rng, m, size)
-    got = list(_resonant_factors(m.resonances, e))
-    assert len(got) == n
+    got = _factors(m, e)
+    assert got.shape == (n, size)
     for r, f in zip(m.resonances, got):
         ce = complex_energy(r)
         assert _same_bits(f, (e - ce.conjugate()) / (e - ce)), (n, size, r)
+    if size > 1:
+        s = _ordered_product(np.exp(2j * m.delta), _factors(m, e.clip(-1e300, 1e300)))
+        assert _same_bits(s, _product_reference(m, e)), (n, size)
+
+
+@pytest.mark.parametrize("n, size", _cases())
+def test_product_form_has_the_bits_of_the_quotients(n, size):
+    rng = np.random.default_rng(4000 * n + size)
+    m = _model(rng, n)
+    e = _energies(rng, m, size)
+    assert _same_bits(s_unitary_product(m, e), _product_reference(m, e)), (n, size)
+
+
+@pytest.mark.parametrize("n, size", _cases())
+def test_noninteracting_sum_has_the_bits_of_the_terms(n, size):
+    rng = np.random.default_rng(5000 * n + size)
+    m = _model(rng, n)
+    e = _energies(rng, m, size)
+    total = cross_section_noninteracting(m, e)
+    assert _same_bits(total, _noninteracting_reference(m, e)), (n, size)
+
+
+def _one_energy_cases(n, seed):
+    """A model of n resonances, 64 energies, and the indices to take alone."""
+    rng = np.random.default_rng(seed)
+    m = _model(rng, n)
+    e = _energies(rng, m, 64)
+    return m, e, [0, 1, 31, 63] + rng.integers(0, 64, 8).tolist()
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_one_energy_sum_adds_the_rows_in_order(n):
+    # np.add.reduce over the rows of an (N, 1) array sums pairwise, so a
+    # lone energy would round unlike the same energy on a grid; _pointwise
+    # evaluates it as two copies, where the rows are added in order
+    m, e, picks = _one_energy_cases(n, 6000 + n)
+    ref = _noninteracting_reference(m, e)
+    for i in picks:
+        assert _same_bits(cross_section_noninteracting(m, e[i:i + 1]), ref[i:i + 1]), (n, i)
+        assert _same_bits(np.array(cross_section_noninteracting(m, float(e[i]))), ref[i]), (n, i)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_one_energy_product_multiplies_the_rows_in_order(n):
+    # a one-element complex product, aliased or reduced, rounds another way;
+    # _pointwise evaluates a lone energy as two copies, where the rows are
+    # multiplied in order, phase first, as on a grid
+    m, e, picks = _one_energy_cases(n, 7000 + n)
+    ref = _product_reference(m, e)
+    for i in picks:
+        assert _same_bits(s_unitary_product(m, e[i:i + 1]), ref[i:i + 1]), (n, i)
+        assert _same_bits(np.array(s_unitary_product(m, float(e[i]))), ref[i]), (n, i)
+
+
+def test_a_grid_whose_last_block_holds_one_energy():
+    # 2 * width + 1 energies: the last block is one energy, padded to two
+    m = _model(np.random.default_rng(8), 12)
+    e = _energies(np.random.default_rng(9), m, 2 * _width(12) + 1)
+    assert _same_bits(s_unitary_product(m, e), _product_reference(m, e))
+    assert _same_bits(cross_section_noninteracting(m, e), _noninteracting_reference(m, e))
+    c, s = _phase_in_blocks(m, 0, e)
+    assert _same_bits(c, _phase_reference(m, 0, e)[0])
 
 
 def test_nan_energy_gives_a_nan_factor():
     rng = np.random.default_rng(3)
-    m = _model(rng, 5)
     e = np.array([0.5, math.nan, -1.0])
-    for k in range(5):
-        c, s = _interfering_phase(m, k, e)
-        assert math.isnan(c[1]) and math.isnan(s[1])
-        assert not (np.isnan(c[::2]).any() or np.isnan(s[::2]).any())
-    # the complex division of a nan reports an invalid value, as it always has
-    with np.errstate(invalid="ignore"):
-        for f in _resonant_factors(m.resonances, e):
-            assert np.isnan(f[1].real) and np.isnan(f[1].imag)
-            assert not np.isnan(f[::2]).any()
+    for n in (1, 2, 5):
+        m = _model(rng, n)
+        for k in range(n):
+            c, s = _interfering_phase(m, k, e)
+            if n > 1:
+                assert math.isnan(c[1]) and math.isnan(s[1])
+            assert not (np.isnan(c[::2]).any() or np.isnan(s[::2]).any())
+        # the complex division of a nan reports an invalid value, as it always has
+        with np.errstate(invalid="ignore"):
+            f = _factors(m, e)
+        assert f.shape == (n, 3)
+        assert np.isnan(f[:, 1].real).all() and np.isnan(f[:, 1].imag).all()
+        assert not np.isnan(f[:, ::2]).any()
 
 
 # a pole of width 1e-10 next to one of width 1, as in test_fano's far-field checks

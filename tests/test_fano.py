@@ -16,6 +16,7 @@ from fanolap import (
     ValidationError,
     breit_wigner_energy,
     compare_representations,
+    contour,
     cross_section,
     cross_section_noninteracting,
     double_pole_fano,
@@ -120,11 +121,12 @@ def test_energy_value_independent_of_grid_size(name):
 
 
 # name -> bytes of its value on an EnergyGrid, for every grid evaluator that
-# goes through _pointwise (contour is one serial loop and starts no thread)
+# goes through _pointwise
 THREAD_CASES = {
     **{name: (lambda m, g, f=on_grid: f(m, g).tobytes()) for name, (on_grid, _) in GRID_CASES.items()},
     "compare_representations": lambda m, g: json.dumps(
         compare_representations(_model_for(m, Representation.POLES_STATIC), g)).encode(),
+    "contour": lambda m, g: contour(m, g, -1.0, 2.0, 3).sigma.tobytes(),
 }
 
 

@@ -355,8 +355,8 @@ WIDE_CONTOUR_GOLDEN = "d39af43cc7949701cfb334baa4d60d28c41f96bde0b13e848549a4cb8
 
 
 def test_wide_contours():
-    # contours wider than one block of 16384 energies go by equal blocks of
-    # energies, each making its own factors; recorded with whole rows
+    # contours wider than one block of energies, each block making its own
+    # factors; recorded with whole rows
     h = hashlib.sha256()
     for m, n, rows in ((TWELVE, 40000, 5), (THREE, 16385, 3), (TWO, 32769, 2)):
         c = contour(m, EnergyGrid(-6.0, 6.0, n), -1.0, 2.0, rows)

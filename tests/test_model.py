@@ -127,6 +127,26 @@ def test_model_resonances_stored_as_tuple():
     assert isinstance(m.resonances, tuple)
 
 
+@pytest.mark.parametrize("e_min, e_max, n", [
+    (-1.0, 1.0, 2), (-10.0, 10.0, 64), (-6.0, 6.0, 16385), (0.1, 0.3, 7),
+    (-8e307, 8e307, 5), (1e-300, 3e-300, 1001), (-5.0, 1e15, 999),
+    (0.0, 5e-324, 3),  # a subnormal step: np.linspace's own scaling
+    (0.0, 1e-321, 1000),
+])
+def test_grid_points_have_the_bits_of_linspace(e_min, e_max, n):
+    # points() does np.linspace's arithmetic without its argument handling
+    e = EnergyGrid(e_min, e_max, n).points()
+    assert e.dtype == float and e.tobytes() == np.linspace(e_min, e_max, n).tobytes()
+
+
+def test_random_grid_points_have_the_bits_of_linspace():
+    rng = np.random.default_rng(17)
+    for _ in range(300):
+        a, b = np.sort(rng.uniform(-1.0, 1.0, 2) * 10.0 ** rng.uniform(-5.0, 5.0))
+        n = int(rng.integers(2, 3000))
+        assert EnergyGrid(a, b, n).points().tobytes() == np.linspace(a, b, n).tobytes()
+
+
 def test_grid_points_inclusive():
     g = EnergyGrid(-5.0, 5.0, 11)
     pts = g.points()

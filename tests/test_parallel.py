@@ -8,7 +8,16 @@ import time
 import numpy as np
 import pytest
 
-from fanolap import _util
+from fanolap import (
+    EnergyGrid,
+    Representation,
+    Resonance,
+    ScatteringModel,
+    _util,
+    contour,
+    fano_q_dynamic,
+    trace,
+)
 from fanolap._util import _BLOCK, _parallel, _pointwise
 
 
@@ -140,3 +149,29 @@ def test_a_busy_host_does_not_lengthen_the_estimate(monkeypatch):
 
 def test_cpus_counts_this_process():
     assert 1 <= _util._cpus() <= (_util.os.cpu_count() or 1)
+
+
+def test_threads_start_from_one_pointwise_level(monkeypatch):
+    # trace and contour hand each block of their energies to
+    # s_unitary_product or cross_section, each a _pointwise of its own;
+    # blocks no wider than theirs keep those from splitting, so no worker
+    # thread calls _parallel again
+    monkeypatch.setattr(_util, "_THREADED_SECONDS", 0.0)
+    monkeypatch.setattr(_util, "_cpus", lambda: 2)
+    calls = []
+    inner = _util._parallel
+
+    def counting(job, items, seconds):
+        calls.append(threading.current_thread() is threading.main_thread())
+        return inner(job, items, seconds)
+    monkeypatch.setattr(_util, "_parallel", counting)
+    m = ScatteringModel(tuple(Resonance(p, 0.3 + 0.2 * k)
+                              for k, p in enumerate(np.linspace(-5.0, 5.0, 12))), 0.4)
+    g = EnergyGrid(-8.0, 8.0, 1_000_000)
+    trace(m, g, Representation.UNITARY_PRODUCT)
+    fano_q_dynamic(m, 0, g.points())
+    assert calls == [True, True]
+    # five phase rows: blocks as wide as the resonance rows' would hand
+    # cross_section more than _BLOCK cells
+    contour(m, g, 0.0, 1.0, 5)
+    assert calls == [True, True, True]

@@ -107,6 +107,27 @@ def test_trace_checks_each_value(where, bad, message):
         assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("energies, message", [
+    ([0.0, math.nan, 2.0], "trace values must be finite"),
+    ([0.0, 1.0, math.nan], "trace values must be finite"),
+    ([-math.inf, 1.0, 2.0], "trace values must be finite"),
+    ([0.0, 1.0, math.inf], "trace values must be finite"),
+    ([math.inf, 1.0, 2.0], "trace values must be finite"),
+    ([0.0, 1.0, -math.inf], "trace values must be finite"),
+    ([-math.inf], "trace values must be finite"),
+    ([0.0, 1.0, 1.0], "energies must be strictly increasing"),
+    ([0.0, 0.0, 2.0], "energies must be strictly increasing"),
+    ([2.0, 1.0, 3.0], "energies must be strictly increasing"),
+])
+def test_trace_energy_messages(energies, message):
+    # the finiteness check reads only the two ends of increasing energies;
+    # each input still gets the message it got from a full min and max
+    e = np.array(energies)
+    with pytest.raises(ValidationError) as exc:
+        CrossSectionTrace(e, np.ones(e.size), TraceMeta("x"))
+    assert str(exc.value) == message
+
+
 @pytest.mark.parametrize("where, bad, message", [
     ("sigma", 0.0, None), ("sigma", -0.0, None), ("sigma", 4.0 + 1e-12, None),
     ("sigma", -5e-324, "contour entries must lie in [0, 4]"),
