@@ -25,7 +25,7 @@ from .errors import (
 )
 from .model import _axis, _capped_eps, _eps, _fano_sigma, _ordered_product
 from .model import _require_two_zero_delta, _two_resonances
-from .smatrix import _check_not_degenerate, _double_pole_args
+from .smatrix import _double_pole_args, _pole_residues
 
 __all__ = [
     "FanoStaticParams",
@@ -163,12 +163,10 @@ def fano_static_params(m):
     sigma_ak = 4*G_l/((G_k - G_l)*(q^2 + 1)) and sigma_b = 4/(q^2 + 1).
     """
     r1, r2 = _require_two_zero_delta(m, "fano_static_params")
-    _check_not_degenerate(m, "fano_static_params")
+    _pole_residues(m, "fano_static_params")  # the degenerate-pair guard
     if abs(r1.width - r2.width) < EQUAL_WIDTHS_RTOL * max(r1.width, r2.width):
-        raise EqualWidthsSingularity(
-            "widths %r and %r are equal within tolerance, q diverges"
-            % (r1.width, r2.width)
-        )
+        raise EqualWidthsSingularity("widths %r and %r are equal within tolerance, "
+                                     "q diverges" % (r1.width, r2.width))
     q = 2.0 * (r1.position - r2.position) / (r1.width - r2.width)
     x = q * q + 1.0
     a1 = (r1.width / r2.width) * x + 2.0 * (1.0 - q * q)

@@ -108,11 +108,12 @@ def _capped_eps(e, position, width):
 
 
 def _axis(m, skip=None):
-    """Positions, widths and conjugate pole energies of the resonances but
-    ``skip`` (one must remain) as (N, 1) columns, made once per model."""
+    """Positions, widths, conjugate and plain pole energies and i*widths of the
+    resonances but ``skip`` (one must remain), (N, 1) columns made once per model."""
     axes = m.__dict__.setdefault("_axes", {})
     if skip not in axes:
-        rows = [(r.position, r.width, complex_energy(r).conjugate())
+        rows = [(r.position, r.width, complex_energy(r).conjugate(), complex_energy(r),
+                 1j * r.width)
                 for i, r in enumerate(m.resonances) if i != skip]
         axes[skip] = [np.array(col).reshape(-1, 1) for col in zip(*rows)]
     return axes[skip]
@@ -149,9 +150,8 @@ def resonance_phase(r, energy):
 
 def _two_resonances(m, context):
     if len(m.resonances) != 2:
-        raise ValidationError(
-            "%s needs exactly two resonances, got %d" % (context, len(m.resonances))
-        )
+        raise ValidationError("%s needs exactly two resonances, got %d"
+                              % (context, len(m.resonances)))
     return m.resonances
 
 
@@ -159,9 +159,8 @@ def _require_two_zero_delta(m, context):
     """Shared precondition of the two-resonance zero-background forms."""
     resonances = _two_resonances(m, context)
     if m.delta != 0.0:
-        raise ValidationError(
-            "%s is defined for zero background phase, got delta=%r" % (context, m.delta)
-        )
+        raise ValidationError("%s is defined for zero background phase, got delta=%r"
+                              % (context, m.delta))
     return resonances
 
 

@@ -22,7 +22,6 @@ from .model import (
     Resonance,
     ScatteringModel,
     _ordered_product,
-    _require_two_zero_delta,
     epsilon,
     model_to_dict,
 )
@@ -31,7 +30,6 @@ from .smatrix import (
     _double_pole_args,
     _factors,
     _pole_kernel,
-    coupling_w_static,
     cross_section,
     cross_section_noninteracting,
     s_double_pole,
@@ -184,9 +182,9 @@ class Figure2Result:
 def trace(m, g, rep):
     """Cross section of the model over the grid in the chosen representation.
 
-    The pole representations keep their two-resonance zero-delta domain; the
-    double-pole representation reads a one-resonance model as the degenerate
-    pole specification (the pole counted twice).
+    The static pole representation takes any model, the dynamic one two
+    resonances at zero delta; the double-pole representation reads a
+    one-resonance model as the degenerate pole (the pole counted twice).
     """
     e = g.points()
     if rep is Representation.UNITARY_PRODUCT:
@@ -280,32 +278,27 @@ def compare_representations(m, g):
     """Pairwise maximum |S_a - S_b| over the grid for the product, static
     pole, and dynamic pole forms.  A near-degenerate model makes the static
     form inapplicable; that is reported in the result, not raised."""
-    r1, r2 = _require_two_zero_delta(m, "compare_representations")
+    forms = [lambda x: s_unitary_product(m, x),
+             _pole_kernel(m, Representation.POLES_DYNAMIC, "compare_representations")]
+    names = [("product_vs_poles_dynamic", 0, 1)]  # and the indices of the two forms
     note = None
     try:
-        static_of = _pole_kernel(r1, r2, coupling_w_static(m))
+        forms.append(_pole_kernel(m, Representation.POLES_STATIC, "compare_representations"))
+        names += [("product_vs_poles_static", 0, 2), ("poles_static_vs_poles_dynamic", 2, 1)]
     except DoublePoleSingularity as err:
         note = str(err)
-    dynamic_of = _pole_kernel(r1, r2)
-    names = ("product_vs_poles_dynamic", "product_vs_poles_static", "poles_static_vs_poles_dynamic")
 
     def deviations(x):
-        # |S_a - S_b| per energy, one column for each applicable pair of `names`
-        prod = s_unitary_product(m, x)
-        dyn = dynamic_of(x)
-        if note is not None:
-            return np.abs(prod - dyn)[:, None]
-        stat = static_of(x)
-        # one row per pair, transposed: no stacked complex copy
-        d = np.empty((3, x.size))
-        np.abs(prod - dyn, out=d[0])
-        np.abs(prod - stat, out=d[1])
-        np.abs(stat - dyn, out=d[2])
+        # |S_a - S_b| per energy, one row per pair, transposed: no stacked complex copy
+        s = [f(x) for f in forms]
+        d = np.empty((len(names), x.size))
+        for row, (_, a, b) in zip(d, names):
+            np.abs(s[a] - s[b], out=row)
         return d.T
 
     e = g.points()
     pairs = {}
-    for name, col in zip(names, _pointwise(deviations, e).T):
+    for (name, _, _), col in zip(names, _pointwise(deviations, e).T):
         i = int(col.argmax())  # column by column: an argmax over axis 0 copies every column
         pairs[name] = {"max_abs_dev": float(col[i]), "argmax_energy": float(e[i])}
     return {

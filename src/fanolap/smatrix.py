@@ -2,14 +2,15 @@
 
 For real energies every resonant factor has unit modulus, so the product
 form is exactly unimodular and the cross section |1 - S|^2 never exceeds 4.
-The pole expansion S = 1 - i*sum_k W_k/(E - ce_k), with ce_k the complex
-pole energies, reproduces the product form exactly when the couplings W_k
-are the pole residues; both an energy-independent (static) and an
-energy-dependent (dynamic) choice are provided for two resonances.  A
+The pole expansion S = exp(2i*delta)*(1 - i*sum_k W_k/(E - ce_k)), with ce_k
+the complex pole energies, reproduces the product form exactly when the W_k
+are its residues: these static couplings exist for any model, and the
+energy-dependent (dynamic) ones for two resonances at zero delta.  A
 degenerate (double) pole has its own closed form.
 """
 
 import enum
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,8 +33,7 @@ __all__ = [
     "cross_section_noninteracting",
 ]
 
-# Complex-energy separations below this fraction of the larger width count
-# as a degenerate pole, where the static couplings lose meaning.
+# Pole separations below this fraction of the pair's larger width are degenerate.
 DOUBLE_POLE_RTOL = 1e-9
 
 
@@ -76,33 +76,35 @@ def _factors(m, e):
     return f
 
 
-def _check_not_degenerate(m, context):
-    r1, r2 = m.resonances
-    sep = abs(complex_energy(r1) - complex_energy(r2))
-    if sep < DOUBLE_POLE_RTOL * max(r1.width, r2.width):
-        raise DoublePoleSingularity(
-            "%s: pole separation %r is below tolerance, couplings diverge" % (context, sep)
-        )
+def _pole_residues(m, context):
+    """Residues W_k = G_k*prod_{l!=k}(1 - i*G_l/(ce_k - ce_l)) of the product
+    form, factors in order l = 0, 1, ..., as an (N, 1) column made once per
+    model; two poles within DOUBLE_POLE_RTOL, where they diverge, raise each call."""
+    axes = m.__dict__.setdefault("_axes", {})
+    if "w" not in axes:
+        g, ce = [r.width for r in m.resonances], [complex_energy(r) for r in m.resonances]
+        w = list(g)
+        for k, l in itertools.permutations(range(len(g)), 2):
+            if abs(ce[k] - ce[l]) < DOUBLE_POLE_RTOL * max(g[k], g[l]):
+                raise DoublePoleSingularity("%s: pole separation %r is below tolerance, "
+                                            "couplings diverge" % (context, abs(ce[k] - ce[l])))
+            w[k] *= 1.0 - 1j * g[l] / (ce[k] - ce[l])
+        axes["w"] = np.array(w, complex).reshape(-1, 1)
+    return axes["w"]
 
 
 def coupling_w_static(m):
-    """Energy-independent couplings W_k = G_k*(1 - i*G_l/(ce_k - ce_l)).
-
-    These are the residues of the unitary product form at its poles, so the
-    pole expansion built from them matches that form identically.  They
-    diverge like 1/separation as the two poles coalesce.
-    """
-    r1, r2 = _require_two_zero_delta(m, "coupling_w_static")
-    _check_not_degenerate(m, "coupling_w_static")
-    ce1, ce2 = complex_energy(r1), complex_energy(r2)
-    w1 = r1.width * (1.0 - 1j * r2.width / (ce1 - ce2))
-    w2 = r2.width * (1.0 - 1j * r1.width / (ce2 - ce1))
-    return CouplingPair(w1, w2)
+    """Energy-independent couplings of two resonances at zero delta, the pole
+    residues W_k = G_k*(1 - i*G_l/(ce_k - ce_l)) of the product form."""
+    _require_two_zero_delta(m, "coupling_w_static")
+    return CouplingPair(*_pole_residues(m, "coupling_w_static")[:, 0].tolist())
 
 
-def _w_dynamic_raw(g1, g2, ce1, ce2, e):
-    d = 2.0 * e - ce1 - ce2
-    return g1 * (1.0 - 1j * g2 / d), g2 * (1.0 - 1j * g1 / d)
+def _w_dynamic_raw(g, ig_other, ce1, ce2, e):
+    """Rows W_k(E) = g_k*(1 - i*g_l/(2E - ce1 - ce2)) of the (2, 1) columns
+    g and ig_other = i*g_l, made in one array: 1 - x and g*x in place."""
+    w = ig_other / (2.0 * e - ce1 - ce2)
+    return np.multiply(g, np.subtract(1.0, w, out=w), out=w)
 
 
 def coupling_w_dynamic(m, energy):
@@ -111,34 +113,42 @@ def coupling_w_dynamic(m, energy):
     Smooth in E and finite for any pole separation, including a degenerate
     pair; the denominator keeps a positive imaginary part on the real axis.
     """
-    r1, r2 = _require_two_zero_delta(m, "coupling_w_dynamic")
-    e = _real(energy, "energy")
-    w1, w2 = _w_dynamic_raw(
-        r1.width, r2.width, complex_energy(r1), complex_energy(r2), e
-    )
-    return CouplingPair(w1, w2)
+    ce1, ce2 = map(complex_energy, _require_two_zero_delta(m, "coupling_w_dynamic"))
+    w = _w_dynamic_raw(_axis(m)[1], _axis(m)[4][::-1], ce1, ce2, _real(energy, "energy"))
+    return CouplingPair(*w[:, 0].tolist())
 
 
 def s_pole(m, energy, rep):
-    """S(E) = 1 - i*sum_k W_k/(E - ce_k) for two resonances at zero delta.
-
-    ``rep`` selects the static or the dynamic coupling choice; both evaluate
-    to the unitary product form up to rounding.
-    """
+    """S(E) = exp(2i*delta)*(1 - i*sum_k W_k/(E - ce_k)) with the couplings
+    ``rep`` selects: POLES_STATIC the pole residues, for any model;
+    POLES_DYNAMIC the W_k(E) of two resonances at zero delta.  Both evaluate
+    to the unitary product form up to rounding."""
     if rep not in (Representation.POLES_STATIC, Representation.POLES_DYNAMIC):
         raise ValidationError("s_pole supports the pole representations, got %r" % (rep,))
-    r1, r2 = _require_two_zero_delta(m, "s_pole")
-    pair = coupling_w_static(m) if rep is Representation.POLES_STATIC else None
-    return _pointwise(_pole_kernel(r1, r2, pair), energy)
+    return _pointwise(_pole_kernel(m, rep, "s_pole"), energy, rows=len(m.resonances))
 
 
-def _pole_kernel(r1, r2, pair=None):
-    """The per-energy kernel of s_pole: the static couplings ``pair``, or
-    the dynamic ones when it is None."""
-    ce1, ce2 = complex_energy(r1), complex_energy(r2)
+def _pole_kernel(m, rep, context):
+    """The per-energy kernel of s_pole: W_k/(E - ce_k) as row k, rows added in
+    order into the first; static W_k are a column times exp(2i*delta), and
+    dynamic ones, past the guard naming ``context``, two rows per block."""
+    (_, g, _, ce, ig), col, phase = _axis(m), None, 1.0
+    if rep is Representation.POLES_STATIC:
+        col = _pole_residues(m, "coupling_w_static")
+        if m.delta:  # else W_k as they are: a product with 1 + 0j may flip a zero's sign
+            phase = np.exp(2j * m.delta)
+            col = col * phase
+    else:
+        ce1, ce2 = map(complex_energy, _require_two_zero_delta(m, context))
+
     def kernel(e):
-        u1, u2 = (pair.w1, pair.w2) if pair else _w_dynamic_raw(r1.width, r2.width, ce1, ce2, e)
-        return 1.0 - 1j * (u1 / (e - ce1) + u2 / (e - ce2))
+        t = e - ce
+        np.divide(col if col is not None else _w_dynamic_raw(g, ig[::-1], ce1, ce2, e), t, t)
+        z = t[0]
+        for l in range(1, len(t)):
+            z += t[l]
+        s = np.multiply(1j, z)  # exp(2i*delta) - i*z, in one new array
+        return np.subtract(phase, s, out=s)
     return kernel
 
 

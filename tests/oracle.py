@@ -3,11 +3,13 @@
 Every float input is taken as the exact rational it stores, so a reference
 is exact in the inputs, and an evaluator's deviation from it is that
 evaluator's own rounding.  At delta = 0 the non-interacting cross section
-sum_k 4/(eps_k^2 + 1) is rational in the inputs.  At delta != 0 the float
-cos and sin of delta are taken as exact inputs, which measures every step
-after the phase.
+sum_k 4/(eps_k^2 + 1) and the product-form S are rational in the inputs.
+At delta != 0 the float cos and sin of delta are taken as exact inputs,
+which measures every step after the phase.  A complex value is a pair
+(re, im) of Fractions.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -25,6 +27,31 @@ def noninteracting(m, e):
         x = 2 * (Fraction(e) - Fraction(r.position)) / Fraction(r.width)
         total += 4 * (x * s - c) ** 2 / (x * x + 1)
     return total
+
+
+def product_s(m, e):
+    """prod_k (e - conj(ce_k))/(e - ce_k) at the float e, exactly, for a model
+    at delta = 0: with x = e - position_k and h = width_k/2, factor k is
+    (x - ih)/(x + ih) = (x^2 - h^2 - 2ixh)/(x^2 + h^2)."""
+    assert m.delta == 0.0
+    re, im = Fraction(1), Fraction(0)
+    for r in m.resonances:
+        x = Fraction(e) - Fraction(r.position)
+        h = Fraction(r.width) / 2
+        d = x * x + h * h
+        fr, fi = (x * x - h * h) / d, -2 * x * h / d
+        re, im = re * fr - im * fi, re * fi + im * fr
+    return re, im
+
+
+def complex_error_in_eps(values, energies, exact):
+    """max over the energies of |value - exact(e)| for complex values, with
+    exact(e) a pair (re, im), in units of the double epsilon 2**-52."""
+    worst = Fraction(0)
+    for v, e in zip(np.asarray(values).tolist(), np.asarray(energies).tolist()):
+        re, im = exact(e)
+        worst = max(worst, (Fraction(v.real) - re) ** 2 + (Fraction(v.imag) - im) ** 2)
+    return math.sqrt(worst) / EPS
 
 
 def error_in_eps(values, energies, exact):

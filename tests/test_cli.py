@@ -93,21 +93,25 @@ def test_trace_all_representations(tmp_path, model_file):
 
 
 def test_trace_degenerate_static_fails_cleanly(tmp_path, capsys):
-    m = ScatteringModel((Resonance(0.0, 1.0), Resonance(0.0, 1.0)))
-    path = tmp_path / "deg.json"
-    save_model(m, path)
-    out = tmp_path / "x.csv"
-    code = run(
-        [
-            "trace", "--model", str(path),
-            "--emin", "-1", "--emax", "1", "--n", "11",
-            "--repr", "poles-static", "--out", str(out),
-        ]
-    )
-    assert code == 1
-    err = capsys.readouterr().err
-    assert "DoublePoleSingularity" in err
-    assert not out.exists()
+    # a coincident pair, alone or beside a third resonance at nonzero delta,
+    # makes the static residues diverge: exit 1, one line, no output file
+    pair = (Resonance(0.0, 1.0), Resonance(0.0, 1.0))
+    for i, m in enumerate((ScatteringModel(pair),
+                           ScatteringModel((Resonance(2.0, 0.5),) + pair, 0.7))):
+        path = tmp_path / ("deg%d.json" % i)
+        save_model(m, path)
+        out = tmp_path / ("x%d.csv" % i)
+        code = run(
+            [
+                "trace", "--model", str(path),
+                "--emin", "-1", "--emax", "1", "--n", "11",
+                "--repr", "poles-static", "--out", str(out),
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("DoublePoleSingularity: "), err
+        assert not out.exists()
 
 
 def test_qscan_serializes_infinities(tmp_path):

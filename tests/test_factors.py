@@ -4,12 +4,14 @@
 per other resonance, as rows of one array, from a real reciprocal;
 `smatrix._factors` makes each quotient (e - conj(ce))/(e - ce) as a row,
 divided by its exact conjugate in place; `model._ordered_product` takes the
-rows in order l = 0, 1, ...; and `cross_section_noninteracting` sums one row
-per resonance.  Each must give the bits of the written-out per-resonance
-expressions below on every grid size, including the one-element grid (where
-numpy's complex multiply takes another path, and a sum over an (N, 1)
-array is pairwise), a grid whose last block holds one energy, and the sizes
-around a block, for reduced energies from 1e-8 to 1e8 and at the +-1e150 clip.
+rows in order l = 0, 1, ...; `cross_section_noninteracting` sums one row
+per resonance; and the static pole form `s_pole` divides one residue row per
+resonance and adds the rows in order.  Each must give the bits of the
+written-out per-resonance expressions below on every grid size, including
+the one-element grid (where numpy's complex multiply takes another path,
+and a sum over an (N, 1) array is pairwise), a grid whose last block holds
+one energy, and the sizes around a block, for reduced energies from 1e-8 to
+1e8 and at the +-1e150 clip.
 """
 
 import math
@@ -28,13 +30,14 @@ from fanolap import (
     cross_section_noninteracting,
     double_pole_fano,
     s_double_pole,
+    s_pole,
     s_unitary_product,
     trace,
 )
 from fanolap._util import _BLOCK, _CELLS, _pointwise
 from fanolap.fano import _interfering_phase
 from fanolap.model import _EPS_CAP, _ordered_product
-from fanolap.smatrix import _factors
+from fanolap.smatrix import _factors, _pole_residues
 
 SIZES = (1, 2, 64, 16384, 16385)
 
@@ -101,6 +104,15 @@ def _noninteracting_reference(m, e):
     return total
 
 
+def _pole_reference(m, e):
+    """The static pole form, W_k*exp(2i delta)/(e - ce_k) added term by term."""
+    w, phase = _pole_residues(m, "reference")[:, 0], np.exp(2j * m.delta)
+    total = 0
+    for wk, r in zip(w * phase if m.delta else w, m.resonances):
+        total = total + wk / (e - complex_energy(r))
+    return (phase if m.delta else 1.0) - 1j * total
+
+
 def _width(n):
     """Energies per block of _pointwise for a kernel of n rows."""
     return min(_BLOCK, _CELLS // n)
@@ -158,6 +170,15 @@ def test_product_form_has_the_bits_of_the_quotients(n, size):
 
 
 @pytest.mark.parametrize("n, size", _cases())
+def test_static_pole_form_has_the_bits_of_the_terms(n, size):
+    rng = np.random.default_rng(4500 * n + size)
+    m = _model(rng, n)
+    e = _energies(rng, m, size)
+    got = s_pole(m, e, Representation.POLES_STATIC)
+    assert _same_bits(got, _pole_reference(m, e)), (n, size)
+
+
+@pytest.mark.parametrize("n, size", _cases())
 def test_noninteracting_sum_has_the_bits_of_the_terms(n, size):
     rng = np.random.default_rng(5000 * n + size)
     m = _model(rng, n)
@@ -196,6 +217,18 @@ def test_one_energy_product_multiplies_the_rows_in_order(n):
     for i in picks:
         assert _same_bits(s_unitary_product(m, e[i:i + 1]), ref[i:i + 1]), (n, i)
         assert _same_bits(np.array(s_unitary_product(m, float(e[i]))), ref[i]), (n, i)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_one_energy_pole_sum_adds_the_rows_in_order(n):
+    # a lone energy, in a one-element array or as a float, has the bits of
+    # the same energy inside a 64-point grid
+    m, e, picks = _one_energy_cases(n, 7500 + n)
+    static = Representation.POLES_STATIC
+    grid = s_pole(m, e, static)
+    for i in picks:
+        assert _same_bits(s_pole(m, e[i:i + 1], static), grid[i:i + 1]), (n, i)
+        assert _same_bits(np.array(s_pole(m, float(e[i]), static)), grid[i]), (n, i)
 
 
 def test_a_grid_whose_last_block_holds_one_energy():

@@ -83,6 +83,9 @@ CASES = {
                       "--out", "{out}/t.csv"],
     "trace_static": ["trace", "--model", "{m:two}", *GRID, "--repr", "poles-static",
                      "--out", "{out}/t.csv"],
+    # the static pole form of three resonances at delta = 0.7
+    "trace_static_three": ["trace", "--model", "{m:three}", *GRID, "--repr", "poles-static",
+                           "--out", "{out}/t.csv"],
     "trace_dynamic": ["trace", "--model", "{m:two}", *GRID, "--repr", "poles-dynamic",
                       "--out", "{out}/t.csv"],
     "trace_double": ["trace", "--model", "{m:one}", *GRID, "--repr", "double-pole",
@@ -173,6 +176,7 @@ GOLDEN = {
     "trace_large:t.csv": "3e6617d1156371f13b326faa37b616b5f3819e5f0c274f6ab91fd10e7139df25",
     "trace_product:t.csv": "a6755b8c036b9b742cc6f5ddeaf85b50ea6bf0be18a2c263abc284a1efda35c0",
     "trace_static:t.csv": "b25ed185839230e58b0c668f9bd366a7fa067bb161cf2e5e8bb2322f3595d5d3",
+    "trace_static_three:t.csv": "5757fd331074311ad38dc40dfb250b5fb0ce564690c5023daee36e164a545f69",
 }
 
 

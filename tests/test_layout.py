@@ -1,7 +1,7 @@
 """Package layout checks: one public namespace, one file writer, one
 scalar validator, one per-energy evaluation, one home and one caller of
-threads, one trace CSV header and no power-of-two squares for the whole of
-``src/fanolap``."""
+threads, one trace CSV header, one home of the pole residues and of the pole
+sum, and no power-of-two squares for the whole of ``src/fanolap``."""
 
 import ast
 import importlib
@@ -247,3 +247,46 @@ def test_one_fano_kernel_and_one_trig_phase():
     assert numerator == {("model.py", "_fano_sigma")}
     assert callers == {("fano.py", "fano_cross_section_dynamic"),
                        ("smatrix.py", "cross_section_noninteracting")}
+
+
+def _raises_double_pole(node):
+    return (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+            and getattr(node.exc.func, "id", None) == "DoublePoleSingularity")
+
+
+def _pole_sum(node):
+    """a - 1j * b or np.multiply(1j, b): the i*sum_k W_k/(E - ce_k) that the
+    pole expansion exp(2i delta)*(1 - i*sum_k W_k/(E - ce_k)) subtracts."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub):
+        node = node.right
+        product = isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+        first = node.left if product else None
+    elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "multiply":
+        first = node.args[0] if node.args else None
+    else:
+        return False
+    return isinstance(first, ast.Constant) and first.value == 1j
+
+
+def _calls(name):
+    return lambda node: isinstance(node, ast.Call) and getattr(node.func, "id", None) == name
+
+
+def test_one_residue_core_and_one_pole_kernel():
+    # smatrix._pole_residues is the one place that raises for coalescing
+    # poles, for every caller; the pole sum is written once, in the kernel
+    # that serves s_pole and compare_representations with either coupling
+    # choice; and the two-resonance zero-delta guard keeps to the forms the
+    # paper gives only for two resonances
+    raises, sums, kernels, guards = [], set(), set(), []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        raises += [(path.name, top) for top in _top_level_uses(tree, _raises_double_pole)]
+        sums |= {(path.name, top) for top in _top_level_uses(tree, _pole_sum)}
+        kernels |= {(path.name, top) for top in _top_level_uses(tree, _calls("_pole_kernel"))}
+        guards += [(path.name, top) for top in _top_level_uses(
+            tree, _calls("_require_two_zero_delta"))]
+    assert raises == [("smatrix.py", "_pole_residues")]
+    assert sums == {("smatrix.py", "_pole_kernel")}
+    assert kernels == {("smatrix.py", "s_pole"), ("scan.py", "compare_representations")}
+    assert len(guards) <= 4, guards

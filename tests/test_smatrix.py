@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, reject, settings, strategies as st
 
 import oracle
 
@@ -83,6 +83,15 @@ def test_static_couplings_near_degenerate_rejected():
     m = ScatteringModel((Resonance(0.0, 1.0), Resonance(1e-10, 1.0)))
     with pytest.raises(DoublePoleSingularity):
         coupling_w_static(m)
+
+
+def test_static_residues_raise_on_every_call():
+    # a coincident pair beside a third pole: nothing is kept from a failed call
+    m = ScatteringModel((Resonance(2.0, 0.5), Resonance(0.0, 1.0), Resonance(0.0, 1.0)), 0.7)
+    for _ in range(2):
+        with pytest.raises(DoublePoleSingularity) as exc:
+            s_pole(m, 0.0, Representation.POLES_STATIC)
+        assert "pole separation 0.0 is below tolerance" in str(exc.value)
 
 
 def test_static_couplings_isolated_limit():
@@ -191,14 +200,84 @@ def test_pole_vanishes_at_infinity():
 
 
 def test_pole_rejects_wrong_model():
+    # the dynamic couplings are two-resonance, zero-delta forms; the static
+    # residues take any model (test_pole_static_matches_product_for_any_model)
     one = ScatteringModel((Resonance(0.0, 1.0),))
-    with pytest.raises(ValidationError):
-        s_pole(one, 0.0, Representation.POLES_STATIC)
+    with pytest.raises(ValidationError) as exc:
+        s_pole(one, 0.0, Representation.POLES_DYNAMIC)
+    assert str(exc.value) == "s_pole needs exactly two resonances, got 1"
     tilted = ScatteringModel(TWO_RES.resonances, delta=0.1)
-    with pytest.raises(ValidationError):
-        s_pole(tilted, 0.0, Representation.POLES_STATIC)
+    with pytest.raises(ValidationError) as exc:
+        s_pole(tilted, 0.0, Representation.POLES_DYNAMIC)
+    assert str(exc.value) == "s_pole is defined for zero background phase, got delta=0.1"
     with pytest.raises(ValidationError):
         s_pole(TWO_RES, 0.0, Representation.UNITARY_PRODUCT)
+
+
+EPS = 2.0 ** -52
+
+
+def _kappa(m):
+    """Residues W_k, their sum rule's sum_k G_k, and kappa = sum|W_k|/sum G_k,
+    the cancellation in that sum (kappa >= 1)."""
+    w = smatrix._pole_residues(m, "test")[:, 0]
+    g = sum(r.width for r in m.resonances)
+    return w, g, float(np.abs(w).sum()) / g
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_pole_static_matches_product_for_any_model(data):
+    # the residues W_k = G_k*prod_{l!=k}(1 - i*G_l/(ce_k - ce_l)) hold for any
+    # number of resonances and any delta.  The terms W_k/(E - ce_k) add up to
+    # a unimodular S with magnitudes up to c(E) = sum_k |W_k/(E - ce_k)|, so
+    # rounding scales with 1 + c(E) at each energy; kappa does not bound it
+    # where poles cluster (8 poles, 6 of them at 0: 72 eps*kappa, kappa = 368,
+    # c up to 16800).  Measured over 60000 seeded models, a quarter of them
+    # clustered: at most 5.3 eps*(1 + c(E)), and the sum rule, which sums
+    # the W_k themselves, to 3.9 eps*kappa*sum G_k
+    n = data.draw(st.integers(1, 8))
+    m = ScatteringModel(
+        tuple(Resonance(data.draw(st.floats(-5, 5)), data.draw(st.floats(1e-3, 10)))
+              for _ in range(n)),
+        data.draw(st.floats(0, math.pi, exclude_max=True)),
+    )
+    try:
+        w, g, kappa = _kappa(m)
+    except DoublePoleSingularity:
+        reject()
+    e = np.concatenate([GRID, [r.position for r in m.resonances]])
+    ce = np.array([complex_energy(r) for r in m.resonances])
+    c = (np.abs(w)[:, None] / np.abs(e - ce[:, None])).sum(axis=0)
+    dev = np.abs(s_pole(m, e, Representation.POLES_STATIC) - s_unitary_product(m, e))
+    assert np.all(dev <= 8 * EPS * (1.0 + c))
+    assert abs(w.sum() - g) <= 8 * EPS * kappa * g
+
+
+def test_pole_static_error_against_the_exact_product():
+    # 40 models of 1 to 4 resonances at delta = 0, widths 0.01 to 3.2, on a
+    # grid and at and beside each pole, against exact rationals (oracle.py).
+    # Measured max: 4.7 eps*kappa for the static pole form and 3.1 eps for
+    # the product form (9.3 and 3.7 over seeds 0 to 9)
+    rng = np.random.default_rng(0)
+    worst_pole = worst_product = 0.0
+    for n in range(1, 5):
+        for _ in range(10):
+            m = ScatteringModel(tuple(
+                Resonance(p, w) for p, w in zip(rng.uniform(-2.0, 2.0, n),
+                                                10.0 ** rng.uniform(-2.0, 0.5, n))))
+            kappa = _kappa(m)[2]
+            pos = np.array([r.position for r in m.resonances])
+            half = 0.5 * np.array([r.width for r in m.resonances])
+            exact = lambda x: oracle.product_s(m, x)
+            near = np.concatenate([pos, pos + half / 2, pos - half])
+            for e in (np.linspace(-6.0, 6.0, 41), near):
+                pole = s_pole(m, e, Representation.POLES_STATIC)
+                worst_pole = max(worst_pole, oracle.complex_error_in_eps(pole, e, exact) / kappa)
+                worst_product = max(worst_product, oracle.complex_error_in_eps(
+                    s_unitary_product(m, e), e, exact))
+    assert worst_pole <= 16.0
+    assert worst_product <= 6.0
 
 
 def test_double_pole_center_values():
