@@ -8,6 +8,7 @@ usage errors, 2 I/O errors.
 
 import argparse
 import dataclasses
+import re
 import sys
 from pathlib import Path
 
@@ -38,7 +39,16 @@ class _UsageError(Exception):
     pass
 
 
+# what argparse takes for a negative number, a value rather than an option;
+# its own pattern, on Python 3.10 and 3.11 at least, misses exponent forms such as -1e3
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.I)
+
+
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
     def error(self, message):
         raise _UsageError(message)
 

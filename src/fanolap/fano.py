@@ -23,7 +23,7 @@ from .errors import (
     NoFiniteSolution,
     ValidationError,
 )
-from .model import _axis, _capped_eps, _eps, _fano_sigma, _ordered_product
+from .model import _WEIGHTED_EPS_CAP, _axis, _capped_eps, _eps, _fano_sigma, _ordered_product
 from .model import _require_two_zero_delta, _two_resonances
 from .smatrix import _double_pole_args, _pole_residues
 
@@ -192,7 +192,7 @@ def _weighted_terms(p, m, context, top):
     """The kernel of sum_k sigma_ak * top(k, eps_k)/(eps_k^2 + 1) + sigma_b."""
     r1, r2 = _two_resonances(m, context)
     def kernel(e):
-        e1, e2 = _eps(e, r1.position, r1.width), _eps(e, r2.position, r2.width)
+        e1, e2 = (_capped_eps(e, r.position, r.width, _WEIGHTED_EPS_CAP) for r in (r1, r2))
         return (p.sigma_a1 * top(0, e1) / (e1 * e1 + 1.0)
                 + p.sigma_a2 * top(1, e2) / (e2 * e2 + 1.0) + p.sigma_b)
     return kernel
@@ -228,14 +228,7 @@ def window_energy(m):
     with resonance index 1 acting as the broad perturber.  A background
     phase at an odd multiple of pi/2 has no finite solution.
     """
-    _, r2 = _two_resonances(m, "window_energy")
-    c = math.cos(m.delta)
-    if abs(c) < _COT_TOL:
-        raise NoFiniteSolution(
-            "tan(delta) diverges at delta=%r, the zero of q runs off to infinity"
-            % m.delta
-        )
-    return r2.position - 0.5 * r2.width * (math.sin(m.delta) / c)
+    return _q_landmark(m, "window_energy", -math.sin(m.delta), math.cos(m.delta), "tan", "zero")
 
 
 def breit_wigner_energy(m):
@@ -245,14 +238,19 @@ def breit_wigner_energy(m):
 
     A background phase at a multiple of pi has no finite solution.
     """
-    _, r2 = _two_resonances(m, "breit_wigner_energy")
-    s = math.sin(m.delta)
-    if abs(s) < _COT_TOL:
-        raise NoFiniteSolution(
-            "cot(delta) diverges at delta=%r, the pole of q runs off to infinity"
-            % m.delta
-        )
-    return r2.position + 0.5 * r2.width * (math.cos(m.delta) / s)
+    return _q_landmark(m, "breit_wigner_energy", math.cos(m.delta), math.sin(m.delta),
+                       "cot", "pole")
+
+
+def _q_landmark(m, context, num, den, ratio, landmark):
+    """E2 + (G2/2)*t at t = num/den of the background phase: the first
+    resonance's q(E) vanishes at t = -tan(delta) and diverges at
+    t = cot(delta); a den within _COT_TOL of zero has no finite solution."""
+    _, r2 = _two_resonances(m, context)
+    if abs(den) < _COT_TOL:
+        raise NoFiniteSolution("%s(delta) diverges at delta=%r, the %s of q runs off to "
+                               "infinity" % (ratio, m.delta, landmark))
+    return r2.position + 0.5 * r2.width * (num / den)
 
 
 def double_pole_fano(e_d, gamma_d, delta, energy):

@@ -17,7 +17,7 @@ import numpy as np
 
 from ._util import _count, _json_text, _pointwise, _real
 from .errors import BadInitialGuess, InsufficientData
-from .model import _eps
+from .model import _WEIGHTED_EPS_CAP, _capped_eps, _eps
 # read_trace_csv lives with the trace CSV writer; it stays public here too
 from .scan import read_trace_csv
 
@@ -69,8 +69,7 @@ class FanoFitResult:
     parameter_uncertainties: tuple
 
 
-def _profile(q, e0, gamma, a, b, e):
-    eps = _eps(e, e0, gamma)
+def _profile(q, a, b, eps):
     qe = q + eps
     f = a * qe  # a*qe*qe/(eps*eps + 1.0) + b, finished in f and eps
     f *= qe
@@ -80,8 +79,11 @@ def _profile(q, e0, gamma, a, b, e):
 
 
 def predict(p, energy):
-    """Evaluate the profile at the given energies."""
-    return _pointwise(lambda e: _profile(p.q, p.e0, p.gamma, p.amplitude, p.offset, e), energy)
+    """Evaluate the profile at the given energies; far energies, infinite
+    ones included, give its limit amplitude + offset."""
+    return _pointwise(lambda e: _profile(p.q, p.amplitude, p.offset,
+                                         _capped_eps(e, p.e0, p.gamma, _WEIGHTED_EPS_CAP)),
+                      energy)
 
 
 def _pack(p):
@@ -96,7 +98,7 @@ def _unpack(vec):
 def _profile_internal(vec, energy):
     q, e0, u, a, b = vec.tolist()
     gamma = math.exp(u)
-    return _pointwise(lambda e: _profile(q, e0, gamma, a, b, e), energy)
+    return _pointwise(lambda e: _profile(q, a, b, _eps(e, e0, gamma)), energy)
 
 
 def _jacobian_internal(vec, energy):

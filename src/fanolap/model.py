@@ -67,24 +67,39 @@ class EnergyGrid:
     n_points: int
 
     def __post_init__(self):
-        object.__setattr__(self, "e_min", _real(self.e_min, "e_min"))
-        object.__setattr__(self, "e_max", _real(self.e_max, "e_max"))
-        if not self.e_min < self.e_max:
-            raise ValidationError(
-                "e_min must be < e_max, got %r >= %r" % (self.e_min, self.e_max)
-            )
-        n = _cells(_count(self.n_points, "n_points"), "n_points")
-        object.__setattr__(self, "n_points", n)
+        names = ("e_min", "e_max", "n_points")
+        lo, hi, n = _uniform_rule(self.e_min, self.e_max, self.n_points, names)
+        for name, value in zip(names, (lo, hi, _cells(n, "n_points"))):
+            object.__setattr__(self, name, value)
 
     def points(self):
         """Evaluation energies, endpoints included: np.linspace's arithmetic
         and bits, without its argument handling, slow on small grids."""
-        step = (self.e_max - self.e_min) / (self.n_points - 1)
-        if not step:  # a subnormal step, which np.linspace scales another way
-            return np.linspace(self.e_min, self.e_max, self.n_points)
-        e = np.arange(float(self.n_points)) * step + self.e_min
-        e[-1] = self.e_max
-        return e
+        return _uniform_points(self.e_min, self.e_max, self.n_points)
+
+
+def _uniform_rule(lo, hi, n, names):
+    """Checked (lo, hi, n) of a uniform axis, named by ``names``: finite
+    floats lo < hi whose span hi - lo is finite too, and a count n >= 2."""
+    lo_name, hi_name, n_name = names
+    lo, hi = _real(lo, lo_name), _real(hi, hi_name)
+    if not lo < hi:
+        raise ValidationError("%s must be < %s, got %r >= %r" % (lo_name, hi_name, lo, hi))
+    if hi - lo == np.inf:  # else the first sample is nan and the inner ones inf
+        raise ValidationError("%s - %s overflows, got %r - %r" % (hi_name, lo_name, hi, lo))
+    return lo, hi, _count(n, n_name)
+
+
+def _uniform_points(lo, hi, n, endpoint=True):
+    """n evenly spaced floats from lo, up to hi included if ``endpoint``, as
+    np.linspace(lo, hi, n, endpoint=endpoint) gives them bit for bit."""
+    step = (hi - lo) / (n - 1 if endpoint else n)
+    if not step:  # a subnormal step, which np.linspace scales another way
+        return np.linspace(lo, hi, n, endpoint=endpoint)
+    x = np.arange(float(n)) * step + lo
+    if endpoint:
+        x[-1] = hi
+    return x
 
 
 def complex_energy(r):
@@ -100,11 +115,16 @@ def _eps(e, position, width):
 # eps*eps overflows past 1.3e154; at this cap 1/eps is 1e-150, so the resonance
 # factor and the Fano form are within about 1e-149 of their limits at infinite eps
 _EPS_CAP = 1e150
+# the forms of Fano parameters multiply (q + eps)^2 by a weight before dividing
+# by eps^2 + 1; at this cap a weight below 1e108, such as a static sigma_ak
+# (|sigma_ak| <= 4/EQUAL_WIDTHS_RTOL), keeps that product finite, and the forms
+# are within 2*|q|*1e-100 of their limits at infinite eps
+_WEIGHTED_EPS_CAP = 1e100
 
 
-def _capped_eps(e, position, width):
-    """_eps clipped to +-_EPS_CAP, nan kept, without np.clip's costly checks."""
-    return _eps(e, position, width).clip(-_EPS_CAP, _EPS_CAP)
+def _capped_eps(e, position, width, cap=_EPS_CAP):
+    """_eps clipped to +-cap, nan kept, without np.clip's costly checks."""
+    return _eps(e, position, width).clip(-cap, cap)
 
 
 def _axis(m, skip=None):

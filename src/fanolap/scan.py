@@ -15,13 +15,15 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from ._g17 import format_csv
-from ._util import _cells, _count, _pointwise, _read_text, _real, _write_all
+from ._util import _cells, _pointwise, _read_text, _write_all
 from .errors import DoublePoleSingularity, ValidationError
 from .model import (
     EnergyGrid,
     Resonance,
     ScatteringModel,
     _ordered_product,
+    _uniform_points,
+    _uniform_rule,
     epsilon,
     model_to_dict,
 )
@@ -30,6 +32,7 @@ from .smatrix import (
     _double_pole_args,
     _factors,
     _pole_kernel,
+    _product_kernel,
     cross_section,
     cross_section_noninteracting,
     s_double_pole,
@@ -206,16 +209,11 @@ def trace(m, g, rep):
 
 def contour(m, g, delta_min, delta_max, n_delta, endpoint=True):
     """Sweep the background phase over [delta_min, delta_max], one row per phase."""
-    delta_min = _real(delta_min, "delta_min")
-    delta_max = _real(delta_max, "delta_max")
-    if not delta_min < delta_max:
-        raise ValidationError(
-            "delta_min must be < delta_max, got %r >= %r" % (delta_min, delta_max)
-        )
-    n_delta = _count(n_delta, "n_delta")
+    delta_min, delta_max, n_delta = _uniform_rule(delta_min, delta_max, n_delta,
+                                                  ("delta_min", "delta_max", "n_delta"))
     _cells(n_delta * g.n_points, "n_delta * n_points")
     e = g.points()
-    deltas = np.linspace(delta_min, delta_max, n_delta, endpoint=endpoint)
+    deltas = _uniform_points(delta_min, delta_max, n_delta, endpoint)
     phases = np.exp(2j * deltas)[:, None]
     # a block of energies makes its factors, then all phase rows of its columns
     # in at most _BLOCK complex cells, so cross_section never splits a block
@@ -278,7 +276,7 @@ def compare_representations(m, g):
     """Pairwise maximum |S_a - S_b| over the grid for the product, static
     pole, and dynamic pole forms.  A near-degenerate model makes the static
     form inapplicable; that is reported in the result, not raised."""
-    forms = [lambda x: s_unitary_product(m, x),
+    forms = [_product_kernel(m),
              _pole_kernel(m, Representation.POLES_DYNAMIC, "compare_representations")]
     names = [("product_vs_poles_dynamic", 0, 1)]  # and the indices of the two forms
     note = None

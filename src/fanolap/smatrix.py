@@ -59,9 +59,13 @@ def s_unitary_product(m, energy):
 
     Exactly unimodular for real E and any number of resonances.
     """
+    return _pointwise(_product_kernel(m), energy, rows=len(m.resonances))
+
+
+def _product_kernel(m):
+    """The per-energy kernel of s_unitary_product."""
     phase = np.exp(2j * m.delta)
-    return _pointwise(lambda e: _ordered_product(phase, _factors(m, e.clip(-_E_CAP, _E_CAP))),
-                      energy, rows=len(m.resonances))
+    return lambda e: _ordered_product(phase, _factors(m, e.clip(-_E_CAP, _E_CAP)))
 
 
 # at +-inf a factor is inf/inf; at this clip it is 1 within width/1e300, so S

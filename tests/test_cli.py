@@ -317,6 +317,7 @@ def test_fit_solver_flags(tmp_path, capsys):
     ("--damping-init", "nan", "damping_init must be finite and > 0, got nan"),
     ("--tol-grad", "inf", "tol_grad must be finite and > 0, got inf"),
     ("--tol-step", "-1e-10", "tol_step must be finite and > 0, got -1e-10"),
+    ("--tol-step", "-inf", "tol_step must be finite and > 0, got -inf"),
     ("--max-iter", "0", "max_iter must be >= 1, got 0"),
 ])
 def test_fit_rejects_bad_solver_flags(tmp_path, capsys, flag, value, message):
@@ -325,9 +326,57 @@ def test_fit_rejects_bad_solver_flags(tmp_path, capsys, flag, value, message):
     truth = FanoProfileModel(1.0, 0.0, 1.0, 1.0, 0.5)
     data.write_text(format_trace_csv(CrossSectionTrace(e, predict(truth, e), TraceMeta("t"))))
     out = tmp_path / "fit.json"
-    code = run(["fit", "--data", str(data), "%s=%s" % (flag, value), "--out", str(out)])
+    # the value joined to its flag, and as the next argument
+    for given in (["%s=%s" % (flag, value)], [flag, value]):
+        code = run(["fit", "--data", str(data)] + given + ["--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == "ValidationError: %s\n" % message
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["trace", "--emin", "-1e3", "--emax", "1e3", "--n", "11"],
+    ["trace", "--emin", "-2.5E+2", "--emax", "1", "--n", "11"],
+    ["contour", "--emin", "-1", "--emax", "1", "--n", "5", "--delta-min", "-1e-1",
+     "--ndelta", "3"],
+], ids=["trace", "trace_upper", "contour"])
+def test_negative_numbers_in_exponent_form_are_values(tmp_path, model_file, argv):
+    # argparse on Python 3.11 took "-1e3" for an option, so its flag seemed
+    # to lack a value; as the next argument it must mean what "--emin=-1e3" does
+    joined = []
+    for arg in argv:
+        if arg.startswith("-") and not arg.startswith("--"):
+            joined[-1] += "=" + arg
+        else:
+            joined.append(arg)
+    outs = [tmp_path / "apart.csv", tmp_path / "joined.csv"]
+    for args, out in zip((argv, joined), outs):
+        assert run(args[:1] + ["--model", model_file] + args[1:] + ["--out", str(out)]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+_PAST_FLOATS = ["--emin=-1e308", "--emax=1e308", "--n=5"]
+
+
+@pytest.mark.parametrize("argv, axis", [
+    (["trace", "--model", "{m}"] + _PAST_FLOATS, "e"),
+    (["qscan", "--model", "{m}"] + _PAST_FLOATS, "e"),
+    (["contour", "--model", "{m}"] + _PAST_FLOATS, "e"),
+    (["contour", "--model", "{m}", "--emin=-1", "--emax=1", "--n=5",
+      "--delta-min=-1e308", "--delta-max=1e308"], "delta"),
+    (["fig1", "--gamma", "1"] + _PAST_FLOATS, "e"),
+    (["fig2"] + _PAST_FLOATS, "e"),
+    (["compare", "--model", "{m}"] + _PAST_FLOATS, "e"),
+], ids=["trace", "qscan", "contour", "contour_delta", "fig1", "fig2", "compare"])
+def test_axis_span_past_the_float_range_is_validation_error(tmp_path, model_file, capsys,
+                                                            argv, axis):
+    # both ends are finite but max - min overflows: the first sample would be
+    # nan, so a run wrote nan rows, or failed later after numpy's warnings
+    out = tmp_path / "out"
+    code = run([a.replace("{m}", model_file) for a in argv] + ["--out", str(out)])
     assert code == 1
-    assert capsys.readouterr().err == "ValidationError: %s\n" % message
+    assert capsys.readouterr().err == (
+        "ValidationError: %s_max - %s_min overflows, got 1e+308 - -1e+308\n" % (axis, axis))
     assert not out.exists()
 
 

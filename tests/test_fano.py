@@ -9,6 +9,7 @@ from fanolap import (
     DoublePoleSingularity,
     EnergyGrid,
     EqualWidthsSingularity,
+    FanoProfileModel,
     NegativeAkError,
     Representation,
     Resonance,
@@ -28,6 +29,7 @@ from fanolap import (
     fano_cross_section_static,
     fano_q_dynamic,
     fano_static_params,
+    predict,
     resonance_phase,
     s_double_pole,
     s_pole,
@@ -565,6 +567,10 @@ def test_module_constants():
 # a pole of width 1e-10 next to one of width 1: past E = 6.7e143 its eps*eps
 # would overflow, and every form must still give the far-field limit
 FAR = ScatteringModel((Resonance(0.0, 1.0), Resonance(0.0, 1e-10)), delta=0.3)
+# zero-delta models for the static forms: the same widths (q = -0.5, a1 = 1.25e10),
+# and widths 4e-9 apart, whose weights sigma_ak reach 1e9
+FAR_STATIC = (ScatteringModel((Resonance(0.0, 1.0), Resonance(0.25, 1e-10))),
+              ScatteringModel((Resonance(0.0, 1.0), Resonance(0.0, 1.0 + 4e-9))))
 
 
 @pytest.mark.parametrize("energy", [1e144, 1e200, math.inf, -math.inf])
@@ -575,6 +581,16 @@ def test_far_energies_give_the_limit(energy):
         assert fano_cross_section_dynamic(FAR, k, energy) == pytest.approx(sigma, rel=1e-15)
         assert fano_q_dynamic(FAR, k, energy) == pytest.approx(-1.0 / math.tan(0.3), rel=1e-15)
     assert cross_section_noninteracting(FAR, energy) == pytest.approx(2.0 * sigma, rel=1e-15)
+    for m in FAR_STATIC:
+        # sum_k sigma_ak + sigma_b: zero by the sum rule, up to rounding of the weights
+        p = fano_static_params(m)
+        limit = p.sigma_a1 + p.sigma_a2 + p.sigma_b
+        rounding = 8 * np.finfo(float).eps * max(map(abs, (p.sigma_a1, p.sigma_a2, p.sigma_b)))
+        assert fano_cross_section_static(p, m, energy) == pytest.approx(limit, abs=rounding)
+        cp = fano_complex_params(p)
+        assert fano_cross_section_complex(p, cp, m, energy) == pytest.approx(limit, abs=rounding)
+    profile = FanoProfileModel(q=-3.0, e0=0.5, gamma=1e-10, amplitude=2.0, offset=0.25)
+    assert predict(profile, energy) == pytest.approx(2.25, rel=1e-15)
 
 
 def test_nan_energy_gives_nan():

@@ -1,7 +1,8 @@
 """Package layout checks: one public namespace, one file writer, one
 scalar validator, one per-energy evaluation, one home and one caller of
 threads, one trace CSV header, one home of the pole residues and of the pole
-sum, and no power-of-two squares for the whole of ``src/fanolap``."""
+sum, one rule and sampler of uniform axes, one formula of q~'s zero and
+pole, and no power-of-two squares for the whole of ``src/fanolap``."""
 
 import ast
 import importlib
@@ -218,9 +219,10 @@ def _top_level_uses(tree, match):
             for top in tree.body for node in ast.walk(top) if match(node)]
 
 
-def _np_trig(node):
-    return (isinstance(node, ast.Attribute) and node.attr in ("arctan", "sin", "cos")
-            and isinstance(node.value, ast.Name) and node.value.id == "np")
+def _np(*names):
+    """Matches np.<name> for each of the names."""
+    return lambda node: (isinstance(node, ast.Attribute) and node.attr in names
+                         and isinstance(node.value, ast.Name) and node.value.id == "np")
 
 
 def _fano_numerator(node):
@@ -239,7 +241,7 @@ def test_one_fano_kernel_and_one_trig_phase():
     trig, numerator, callers = set(), set(), set()
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        trig |= {(path.name, top) for top in _top_level_uses(tree, _np_trig)}
+        trig |= {(path.name, top) for top in _top_level_uses(tree, _np("arctan", "sin", "cos"))}
         numerator |= {(path.name, top) for top in _top_level_uses(tree, _fano_numerator)}
         callers |= {(path.name, top) for top in _top_level_uses(
             tree, lambda n: isinstance(n, ast.Name) and n.id == "_fano_sigma")}
@@ -249,9 +251,9 @@ def test_one_fano_kernel_and_one_trig_phase():
                        ("smatrix.py", "cross_section_noninteracting")}
 
 
-def _raises_double_pole(node):
-    return (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
-            and getattr(node.exc.func, "id", None) == "DoublePoleSingularity")
+def _raises(name):
+    return lambda node: (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                         and getattr(node.exc.func, "id", None) == name)
 
 
 def _pole_sum(node):
@@ -281,7 +283,8 @@ def test_one_residue_core_and_one_pole_kernel():
     raises, sums, kernels, guards = [], set(), set(), []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        raises += [(path.name, top) for top in _top_level_uses(tree, _raises_double_pole)]
+        raises += [(path.name, top) for top in _top_level_uses(
+            tree, _raises("DoublePoleSingularity"))]
         sums |= {(path.name, top) for top in _top_level_uses(tree, _pole_sum)}
         kernels |= {(path.name, top) for top in _top_level_uses(tree, _calls("_pole_kernel"))}
         guards += [(path.name, top) for top in _top_level_uses(
@@ -290,3 +293,29 @@ def test_one_residue_core_and_one_pole_kernel():
     assert sums == {("smatrix.py", "_pole_kernel")}
     assert kernels == {("smatrix.py", "s_pole"), ("scan.py", "compare_representations")}
     assert len(guards) <= 4, guards
+
+
+_ORDER_RULE = re.compile(r"must be <.*>=")
+
+
+def test_one_axis_rule_one_landmark_and_one_product_route():
+    # model._uniform_rule checks, and model._uniform_points samples, every
+    # uniform axis: the energies and contour's phases; q~'s zero and pole are
+    # one guarded formula; and compare_representations builds the product and
+    # pole forms from their kernels, not through the public evaluators
+    linspace, order, landmark, public = set(), [], [], set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        linspace |= {(path.name, top) for top in _top_level_uses(tree, _np("linspace"))}
+        order += [(path.name, top) for top in _top_level_uses(
+            tree, lambda n: isinstance(n, ast.Constant) and isinstance(n.value, str)
+            and bool(_ORDER_RULE.search(n.value)))]
+        landmark += [(path.name, top) for top in _top_level_uses(
+            tree, _raises("NoFiniteSolution"))]
+        public |= {(path.name, top) for top in _top_level_uses(
+            tree, lambda n: isinstance(n, ast.Name) and n.id in ("s_unitary_product", "s_pole"))}
+    assert linspace == {("model.py", "_uniform_points")}
+    assert order == [("model.py", "_uniform_rule")]
+    assert landmark == [("fano.py", "_q_landmark")]
+    assert ("scan.py", "compare_representations") not in public
+    assert ("scan.py", "trace") in public

@@ -18,6 +18,7 @@ from fanolap import (
     resonance_phase,
     save_model,
 )
+from fanolap.model import _uniform_points
 
 
 def test_narrow_resonance_allowed():
@@ -134,9 +135,12 @@ def test_model_resonances_stored_as_tuple():
     (0.0, 1e-321, 1000),
 ])
 def test_grid_points_have_the_bits_of_linspace(e_min, e_max, n):
-    # points() does np.linspace's arithmetic without its argument handling
+    # points() does np.linspace's arithmetic without its argument handling,
+    # and so does the sampler of contour's phases without the end point
     e = EnergyGrid(e_min, e_max, n).points()
     assert e.dtype == float and e.tobytes() == np.linspace(e_min, e_max, n).tobytes()
+    half_open = _uniform_points(e_min, e_max, n, endpoint=False)
+    assert half_open.tobytes() == np.linspace(e_min, e_max, n, endpoint=False).tobytes()
 
 
 def test_random_grid_points_have_the_bits_of_linspace():
@@ -162,6 +166,10 @@ def test_grid_validation():
         EnergyGrid(0.0, 1.0, 1)
     with pytest.raises(ValidationError):
         EnergyGrid(0.0, math.inf, 10)
+    # finite ends whose span overflows: the first point would be nan
+    with pytest.raises(ValidationError) as exc:
+        EnergyGrid(-1e308, 1e308, 5)
+    assert str(exc.value) == "e_max - e_min overflows, got 1e+308 - -1e+308"
     # a count must be an integer; nothing is rounded or parsed
     for bad in (2.7, 5.0, "5", math.nan, math.inf, np.float64(5.0), None, True, np.True_):
         with pytest.raises(ValidationError, match="n_points must be an integer"):

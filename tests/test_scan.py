@@ -225,6 +225,9 @@ def test_contour_grid_validation():
     with pytest.raises(ValidationError) as exc:
         contour(TWO_RES, EnergyGrid(-1.0, 1.0, 5), 1.0, 0.5, 3)
     assert str(exc.value) == "delta_min must be < delta_max, got 1.0 >= 0.5"
+    with pytest.raises(ValidationError) as exc:
+        contour(TWO_RES, EnergyGrid(-1.0, 1.0, 5), -1e308, 1e308, 3)
+    assert str(exc.value) == "delta_max - delta_min overflows, got 1e+308 - -1e+308"
 
 
 @pytest.mark.parametrize("n_res", [2, 12])
