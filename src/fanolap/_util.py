@@ -5,6 +5,7 @@ import json
 import math
 import operator
 import os
+import sys
 import threading
 import time
 from pathlib import Path
@@ -30,6 +31,30 @@ def _real(value, field, positive=False):
     if not (math.isfinite(x) and (x > 0.0 or not positive)):
         rule = " and > 0" if positive else ""
         raise ValidationError("%s must be finite%s, got %r" % (field, rule, x))
+    return x
+
+
+# a width below the smallest normal double makes a pole E - position + i*width/2
+# whose reciprocal numpy's complex division overflows: S is nan at the resonance
+_WIDTH_MIN = sys.float_info.min
+# numpy's exp(2j*x) doubles x first, which overflows from 2**1023 on: nan
+_PHASE_MAX = 2.0 ** 1023
+
+
+def _width(value, field):
+    """_real(value, field, positive=True), at least the smallest normal double."""
+    x = _real(value, field, positive=True)
+    if x < _WIDTH_MIN:
+        raise ValidationError("%s must be >= %r, the smallest normal double, got %r"
+                              % (field, _WIDTH_MIN, x))
+    return x
+
+
+def _phase(value, field):
+    """_real(value, field), a background phase below 2**1023 in magnitude."""
+    x = _real(value, field)
+    if abs(x) >= _PHASE_MAX:
+        raise ValidationError("|%s| must be < 2**1023, got %r" % (field, x))
     return x
 
 

@@ -53,13 +53,10 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-_SOLVER_OPTIONS = {"max_iter": int, "tol_step": float, "tol_grad": float, "damping_init": float}
-
-
-def _add_grid_flags(sub, required=True):
-    sub.add_argument("--emin", type=float, required=required, help="grid start energy")
-    sub.add_argument("--emax", type=float, required=required, help="grid end energy")
-    sub.add_argument("--n", type=int, required=required, help="number of grid points")
+# fit_fano's keyword-only parameters are the solver settings, each flag typed by
+# its default; read at import, as a wrapper put in fit_fano's place (perfbench's
+# tracer) has no defaults of its own
+_SOLVER_DEFAULTS = fit_fano.__kwdefaults__
 
 
 def _grid(args):
@@ -72,69 +69,50 @@ def _grid(args):
     return EnergyGrid(*flags)
 
 
+def _command(sub, func, help, out, model=True, grid=True):
+    """The parser of the subcommand that ``func``, _cmd_<name>, runs: --model
+    when ``model``, the grid flags, required when ``grid`` is True, optional
+    when False, absent when None, and --out with the help ``out``."""
+    p = sub.add_parser(func.__name__.removeprefix("_cmd_"), help=help)
+    p.set_defaults(func=func)
+    if model:
+        p.add_argument("--model", required=True, help="model JSON file")
+    if grid is not None:
+        p.add_argument("--emin", type=float, required=grid, help="grid start energy")
+        p.add_argument("--emax", type=float, required=grid, help="grid end energy")
+        p.add_argument("--n", type=int, required=grid, help="number of grid points")
+    p.add_argument("--out", required=True, help=out)
+    return p
+
+
 def _build_parser():
     parser = _Parser(prog="fanolap", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    to_csv, to_json, to_dir = "output CSV path", "output JSON path", "output directory"
 
-    p = sub.add_parser("trace", help="cross section over an energy grid")
-    p.add_argument("--model", required=True, help="model JSON file")
-    _add_grid_flags(p)
-    p.add_argument(
-        "--repr",
-        default="product",
-        choices=[r.value for r in Representation],
-        help="S-matrix representation",
-    )
-    p.add_argument("--out", required=True, help="output CSV path")
-    p.set_defaults(func=_cmd_trace)
-
-    p = sub.add_parser("qscan", help="energy-dependent asymmetry parameter over a grid")
-    p.add_argument("--model", required=True)
+    p = _command(sub, _cmd_trace, "cross section over an energy grid", to_csv)
+    p.add_argument("--repr", default="product", choices=[r.value for r in Representation],
+                   help="S-matrix representation")
+    p = _command(sub, _cmd_qscan, "energy-dependent asymmetry parameter over a grid", to_csv)
     p.add_argument("--k", type=int, default=0, help="resonance index (0-based)")
-    _add_grid_flags(p)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_qscan)
-
-    p = sub.add_parser("params", help="static two-resonance parameters as JSON")
-    p.add_argument("--model", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_params)
-
-    p = sub.add_parser("contour", help="cross section over energy and background phase")
-    p.add_argument("--model", required=True)
-    _add_grid_flags(p)
+    _command(sub, _cmd_params, "static two-resonance parameters as JSON", to_json, grid=None)
+    p = _command(sub, _cmd_contour, "cross section over energy and background phase", to_csv)
     p.add_argument("--delta-min", type=float, default=0.0)
     p.add_argument("--delta-max", type=float, default=float(np.pi))
     p.add_argument("--ndelta", type=int, default=181)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_contour)
-
-    p = sub.add_parser("fig1", help="degenerate-pole reference panels (8 CSVs)")
+    p = _command(sub, _cmd_fig1, "degenerate-pole reference panels (8 CSVs)", to_dir,
+                 model=False, grid=False)
     p.add_argument("--gamma", type=float, required=True, help="degenerate pole width")
-    _add_grid_flags(p, required=False)
-    p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=_cmd_fig1)
-
-    p = sub.add_parser("fig2", help="narrow-next-to-broad reference traces (7 CSVs)")
-    _add_grid_flags(p, required=False)
+    p = _command(sub, _cmd_fig2, "narrow-next-to-broad reference traces (7 CSVs)", to_dir,
+                 model=False, grid=False)
     p.add_argument("--ndelta", type=int, default=181)
-    p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=_cmd_fig2)
-
-    p = sub.add_parser("fit", help="fit a Fano profile to a trace CSV")
+    p = _command(sub, _cmd_fit, "fit a Fano profile to a trace CSV", to_json,
+                 model=False, grid=None)
     p.add_argument("--data", required=True, help="input 'energy,sigma' CSV")
-    for name, kind in _SOLVER_OPTIONS.items():
-        # fit_fano's signature holds the defaults; only given flags are passed on
-        p.add_argument("--" + name.replace("_", "-"), type=kind, default=argparse.SUPPRESS)
-    p.add_argument("--out", required=True, help="output JSON path")
-    p.set_defaults(func=_cmd_fit)
-
-    p = sub.add_parser("compare", help="pairwise representation deviations as JSON")
-    p.add_argument("--model", required=True)
-    _add_grid_flags(p)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_compare)
-
+    for name, default in _SOLVER_DEFAULTS.items():  # only given flags are passed on
+        p.add_argument("--" + name.replace("_", "-"), type=type(default),
+                       default=argparse.SUPPRESS)
+    _command(sub, _cmd_compare, "pairwise representation deviations as JSON", to_json)
     return parser
 
 
@@ -196,7 +174,7 @@ def _cmd_fig2(args):
 
 def _cmd_fit(args):
     tr = read_trace_csv(args.data)
-    given = {name: getattr(args, name) for name in _SOLVER_OPTIONS if hasattr(args, name)}
+    given = {name: getattr(args, name) for name in _SOLVER_DEFAULTS if hasattr(args, name)}
     res = fit_fano(tr, **given)
     return [(args.out, format_fit_json(res))]
 

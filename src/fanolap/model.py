@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import _cells, _count, _json_text, _pointwise, _read_text, _real, _write_all
+from ._util import (_cells, _count, _json_text, _phase, _pointwise, _read_text, _real, _width,
+                    _write_all)
 from .errors import ValidationError
 
 __all__ = [
@@ -37,7 +38,7 @@ class Resonance:
 
     def __post_init__(self):
         object.__setattr__(self, "position", _real(self.position, "position"))
-        object.__setattr__(self, "width", _real(self.width, "width", positive=True))
+        object.__setattr__(self, "width", _width(self.width, "width"))
 
 
 @dataclass(frozen=True)
@@ -55,7 +56,7 @@ class ScatteringModel:
             if not isinstance(r, Resonance):
                 raise ValidationError("resonances must be Resonance instances, got %r" % (r,))
         object.__setattr__(self, "resonances", res)
-        object.__setattr__(self, "delta", _real(self.delta, "delta"))
+        object.__setattr__(self, "delta", _phase(self.delta, "delta"))
 
 
 @dataclass(frozen=True)

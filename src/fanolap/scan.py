@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from ._g17 import format_csv
-from ._util import _cells, _pointwise, _read_text, _write_all
+from ._util import _cells, _phase, _pointwise, _read_text, _write_all
 from .errors import DoublePoleSingularity, ValidationError
 from .model import (
     EnergyGrid,
@@ -211,6 +211,8 @@ def contour(m, g, delta_min, delta_max, n_delta, endpoint=True):
     """Sweep the background phase over [delta_min, delta_max], one row per phase."""
     delta_min, delta_max, n_delta = _uniform_rule(delta_min, delta_max, n_delta,
                                                   ("delta_min", "delta_max", "n_delta"))
+    _phase(delta_min, "delta_min")  # after the rule, which names an overflowing span first
+    _phase(delta_max, "delta_max")
     _cells(n_delta * g.n_points, "n_delta * n_points")
     e = g.points()
     deltas = _uniform_points(delta_min, delta_max, n_delta, endpoint)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import _pointwise, _real
+from ._util import _phase, _pointwise, _real, _width
 from .errors import DoublePoleSingularity, ValidationError
 from .model import _axis, _capped_eps, _fano_sigma, _ordered_product
 from .model import _require_two_zero_delta, complex_energy
@@ -158,8 +158,8 @@ def _pole_kernel(m, rep, context):
 
 def _double_pole_args(e_d, gamma_d, delta):
     """Validated floats (e_d, gamma_d, delta) of a degenerate pole."""
-    gamma_d = _real(gamma_d, "gamma_d", positive=True)
-    return _real(e_d, "e_d"), gamma_d, _real(delta, "delta")
+    gamma_d = _width(gamma_d, "gamma_d")
+    return _real(e_d, "e_d"), gamma_d, _phase(delta, "delta")
 
 
 def s_double_pole(e_d, gamma_d, delta, energy):

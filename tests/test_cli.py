@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -22,7 +23,7 @@ from fanolap import (
     save_model,
     write_trace_csv,
 )
-from fanolap.cli import run
+from fanolap.cli import _build_parser, run
 from fanolap.scan import _format_columns
 
 TWO_RES = ScatteringModel((Resonance(0.0, 1.0), Resonance(1.0, 3.0)))
@@ -313,6 +314,30 @@ def test_fit_solver_flags(tmp_path, capsys):
     assert body["iterations"] <= 3
 
 
+def test_fit_flags_survive_a_wrapped_fit_fano(tmp_path, monkeypatch):
+    # perfbench's tracer puts a plain (*args, **kwargs) wrapper in fit_fano's
+    # place, which has no signature defaults of its own
+    import fanolap.cli
+
+    seen = []
+    original = fanolap.cli.fit_fano
+
+    def wrapper(*args, **kwargs):
+        seen.append(kwargs)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(fanolap.cli, "fit_fano", wrapper)
+    e = np.linspace(-4, 4, 41)
+    truth = FanoProfileModel(1.0, 0.0, 1.0, 1.0, 0.5)
+    data = tmp_path / "data.csv"
+    data.write_text(format_trace_csv(CrossSectionTrace(e, predict(truth, e), TraceMeta("t"))))
+    out = tmp_path / "fit.json"
+    assert run(["fit", "--data", str(data), "--max-iter", "2", "--tol-grad", "1e-3",
+                "--out", str(out)]) == 0
+    assert seen == [{"max_iter": 2, "tol_grad": 1e-3}]
+    assert json.loads(out.read_text())["iterations"] <= 2
+
+
 @pytest.mark.parametrize("flag, value, message", [
     ("--damping-init", "nan", "damping_init must be finite and > 0, got nan"),
     ("--tol-grad", "inf", "tol_grad must be finite and > 0, got inf"),
@@ -463,6 +488,40 @@ def test_model_file_number_must_be_real(tmp_path, capsys, position, message):
     code = run(["trace", "--model", str(path), "--emin", "-1", "--emax", "1", "--n", "5",
                 "--out", str(out)])
     assert code == 1
+    assert capsys.readouterr().err == "ValidationError: %s\n" % message
+    assert not out.exists()
+
+
+_WIDTH_FLOOR = "must be >= 2.2250738585072014e-308, the smallest normal double, got"
+
+
+@pytest.mark.parametrize("model, argv, message", [
+    ({"resonances": [{"position": 0, "width": 1e-310}], "delta": 0}, ["trace"],
+     "width %s 1e-310" % _WIDTH_FLOOR),
+    (None, ["fig1", "--gamma", "1e-320"], "gamma_d %s 1e-320" % _WIDTH_FLOOR),
+    ({"resonances": [{"position": 0, "width": 1}], "delta": 1e308}, ["trace"],
+     "|delta| must be < 2**1023, got 1e+308"),
+    ({"resonances": [{"position": 0, "width": 1}], "delta": -1e308},
+     ["trace", "--repr", "poles-static"], "|delta| must be < 2**1023, got -1e+308"),
+    ({"resonances": [{"position": 0, "width": 1}], "delta": 1e308}, ["qscan"],
+     "|delta| must be < 2**1023, got 1e+308"),
+    ({"resonances": [{"position": 0, "width": 1}], "delta": 0},
+     ["contour", "--delta-max", "1.5e308"], "|delta_max| must be < 2**1023, got 1.5e+308"),
+    # the checks of a model's entries, in the order model_from_dict makes them
+    ([], ["trace"], "model data must be a JSON object, got 'list'"),
+    ({"resonances": {}, "delta": 0}, ["trace"], "field 'resonances' must be a list"),
+    ({"resonances": [1], "delta": 0}, ["trace"], "resonance 0 must be an object, got 1"),
+], ids=["subnormal_width", "subnormal_gamma", "phase_product", "phase_static", "phase_qscan",
+        "phase_contour", "model_list", "resonances_object", "resonance_number"])
+def test_out_of_range_input_is_one_line(tmp_path, capsys, model, argv, message):
+    # numpy printed warnings here and S was nan, or a check no test reached
+    if model is not None:
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(model))
+        argv = argv[:1] + ["--model", str(path)] + argv[1:]
+    grid = [] if argv[0] == "fig1" else ["--emin", "-1", "--emax", "1", "--n", "5"]
+    out = tmp_path / "out"
+    assert run(argv + grid + ["--out", str(out)]) == 1
     assert capsys.readouterr().err == "ValidationError: %s\n" % message
     assert not out.exists()
 
@@ -648,3 +707,58 @@ def test_python_m_reports_bad_input(tmp_path, module):
     assert proc.returncode == 1
     assert proc.stderr.startswith("ValidationError: ")
     assert not out.exists()
+
+
+# every subcommand's flags: option strings -> (type, default, required, choices)
+_GRID = {"--emin": (float, None, True, None), "--emax": (float, None, True, None),
+         "--n": (int, None, True, None)}
+_OPTIONAL_GRID = {flag: (kind, None, False, None) for flag, (kind, *_) in _GRID.items()}
+_MODEL = {"--model": (None, None, True, None)}
+_OUT = {"--out": (None, None, True, None)}
+_REPRS = ["product", "poles-static", "poles-dynamic", "double-pole"]
+_SUPPRESS = argparse.SUPPRESS  # the fit flags: fit_fano's own defaults apply
+_INTERFACE = {
+    "trace": {**_MODEL, **_GRID, "--repr": (None, "product", False, _REPRS), **_OUT},
+    "qscan": {**_MODEL, "--k": (int, 0, False, None), **_GRID, **_OUT},
+    "params": {**_MODEL, **_OUT},
+    "contour": {**_MODEL, **_GRID, "--delta-min": (float, 0.0, False, None),
+                "--delta-max": (float, 3.141592653589793, False, None),
+                "--ndelta": (int, 181, False, None), **_OUT},
+    "fig1": {"--gamma": (float, None, True, None), **_OPTIONAL_GRID, **_OUT},
+    "fig2": {**_OPTIONAL_GRID, "--ndelta": (int, 181, False, None), **_OUT},
+    "fit": {"--data": (None, None, True, None), "--max-iter": (int, _SUPPRESS, False, None),
+            "--tol-step": (float, _SUPPRESS, False, None),
+            "--tol-grad": (float, _SUPPRESS, False, None),
+            "--damping-init": (float, _SUPPRESS, False, None), **_OUT},
+    "compare": {**_MODEL, **_GRID, **_OUT},
+}
+
+
+def _subcommands():
+    parser = _build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
+def _flags(subparser):
+    return {a.option_strings[0]: a for a in subparser._actions if a.option_strings
+            and a.option_strings[0] != "-h"}
+
+
+def test_cli_interface_is_pinned():
+    # the eight subcommands, their handlers, and each flag as argparse holds it
+    subs = _subcommands()
+    assert list(subs) == list(_INTERFACE)
+    for name, subparser in subs.items():
+        assert subparser.get_default("func").__name__ == "_cmd_" + name
+        got = {flag: (tuple(a.option_strings), a.type, a.default, a.required, a.choices)
+               for flag, a in _flags(subparser).items()}
+        want = {flag: ((flag,),) + spec for flag, spec in _INTERFACE[name].items()}
+        assert got == want, name
+
+
+def test_model_and_out_have_help_on_every_subcommand():
+    for name, subparser in _subcommands().items():
+        for flag, action in _flags(subparser).items():
+            if flag in ("--model", "--out"):
+                assert action.help, (name, flag)

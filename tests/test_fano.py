@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fanolap import (
+    ComplexFanoParams,
     DoublePoleSingularity,
     EnergyGrid,
     EqualWidthsSingularity,
     FanoProfileModel,
+    FanoStaticParams,
     NegativeAkError,
     Representation,
     Resonance,
@@ -251,6 +253,18 @@ def test_static_params_sum_rule_and_sign():
     assert max(p.sigma_a1, p.sigma_a2) > 0.0
 
 
+@pytest.mark.parametrize("fields, message", [
+    ((0.5, 1.0, 2.0, -1.0, 0.5, 0.6), "partial weights must sum to zero, got %r" % (
+        -1.0 + 0.5 + 0.6)),
+    ((0.5, 1.0, 2.0, 0.5, 0.5, -1.0), "one of sigma_a1, sigma_a2 must be negative"),
+    ((0.5, 1.0, 2.0, 0.0, 0.0, 0.0), "one of sigma_a1, sigma_a2 must be negative"),
+])
+def test_static_params_enforce_sum_rule_and_sign(fields, message):
+    with pytest.raises(ValidationError) as exc:
+        FanoStaticParams(*fields)
+    assert str(exc.value) == message
+
+
 def test_static_params_equal_positions_give_q_zero():
     m = ScatteringModel((Resonance(1.0, 1.0), Resonance(1.0, 3.0)))
     assert fano_static_params(m).q == 0.0
@@ -335,6 +349,17 @@ def test_complex_params_purely_imaginary_at_equal_positions():
     cp = fano_complex_params(fano_static_params(m))
     assert cp.q1.real == 0.0
     assert cp.q2.real == 0.0
+
+
+@pytest.mark.parametrize("q1, q2, message", [
+    (0.5 + 1.0j, 0.6 + 1.0j, "q1 and q2 must share their real part"),
+    (0.5 - 1.0j, 0.5 + 1.0j, "imaginary parts must be non-negative"),
+    (0.5 + 1.0j, 0.5 - 1e-300j, "imaginary parts must be non-negative"),
+])
+def test_complex_params_enforce_shared_real_part_and_sign(q1, q2, message):
+    with pytest.raises(ValidationError) as exc:
+        ComplexFanoParams(q1, q2)
+    assert str(exc.value) == message
 
 
 def test_complex_params_negative_ak():

@@ -510,6 +510,8 @@ _REJECTED = {
     "one_column": ("energy,sigma\n0,1\n0.5\n", 3),
     "three_columns": ("energy,sigma\n0,1,2\n0.5,2,3\n", 2),
     "column_count_changes": ("energy,sigma\n0,1\n0.5,2\n1,2,3\n", 4),
+    "blank_lines_before_bad_line": ("energy,sigma\n0,1\n\n\n1,2,3\n", 5),
+    "header_past_field_limit": ("e" * (csv.field_size_limit() + 1) + ",sigma\n0,1\n", 1),
     "whitespace_only_line": ("energy,sigma\n0,1\n  \n0.5,2\n", 3),
     "non_number": ("energy,sigma\n0,1\n0.5,oops\n", 3),
     "empty_field": ("energy,sigma\n0,1\n0.5,\n", 3),

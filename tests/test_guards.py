@@ -33,6 +33,8 @@ from fanolap import (
     fit_fano,
     s_double_pole,
     s_pole,
+    s_unitary_product,
+    trace,
     window_energy,
 )
 
@@ -177,3 +179,73 @@ def test_fit_rejects_bad_max_iter(max_iter, message):
 
 def test_fit_takes_one_iteration():
     assert fit_fano(TRACE, max_iter=np.int64(1)).iterations == 1
+
+
+SMALLEST_NORMAL = 2.2250738585072014e-308  # sys.float_info.min
+
+# (field, entry point taking a width)
+WIDTH_ENTRY_POINTS = [("width", lambda v: Resonance(0.0, v))] + [
+    ("gamma_d", DOUBLE_POLE_ENTRY_POINTS[name]) for name in sorted(DOUBLE_POLE_ENTRY_POINTS)
+]
+
+
+@pytest.mark.parametrize("value", [1e-310, 5e-324, float(np.nextafter(SMALLEST_NORMAL, 0.0))])
+@pytest.mark.parametrize("field, entry", WIDTH_ENTRY_POINTS,
+                         ids=["Resonance"] + sorted(DOUBLE_POLE_ENTRY_POINTS))
+def test_widths_below_the_smallest_normal_double_are_refused(field, entry, value):
+    # a subnormal width's pole overflows numpy's complex division: S was nan
+    with pytest.raises(ValidationError) as exc:
+        entry(value)
+    assert str(exc.value) == (
+        "%s must be >= 2.2250738585072014e-308, the smallest normal double, got %r"
+        % (field, value))
+
+
+@pytest.mark.parametrize("energy", [0.0, SMALLEST_NORMAL, -SMALLEST_NORMAL, 1e-300, 1.0])
+def test_the_smallest_normal_width_keeps_every_form_finite(energy):
+    one = ScatteringModel((Resonance(0.0, SMALLEST_NORMAL),))
+    two = ScatteringModel((Resonance(0.0, SMALLEST_NORMAL), Resonance(1.0, 1.0)))
+    values = [s_unitary_product(m, energy) for m in (one, two)]
+    values += [s_pole(m, energy, Representation.POLES_STATIC) for m in (one, two)]
+    values += [s_pole(two, energy, Representation.POLES_DYNAMIC),
+               s_double_pole(0.0, SMALLEST_NORMAL, 0.0, energy)]
+    for s in values:
+        assert math.isfinite(abs(s)) and abs(abs(s) - 1.0) < 1e-15
+
+
+# the largest double below 2**1023, and three beyond it
+PHASE_MAX = float(np.nextafter(2.0 ** 1023, 0.0))
+PAST_PHASES = [2.0 ** 1023, 1e308, 1.7976931348623157e308]
+G = EnergyGrid(-1.0, 1.0, 5)
+
+# (field, entry point taking a background phase, the signs it is given)
+PHASE_ENTRY_POINTS = {
+    "ScatteringModel": ("delta", lambda v: ScatteringModel((Resonance(0.0, 1.0),), v), (1, -1)),
+    "s_double_pole": ("delta", lambda v: s_double_pole(0.0, 1.0, v, 0.0), (1, -1)),
+    "double_pole_fano": ("delta", lambda v: double_pole_fano(0.0, 1.0, v, 0.0), (1, -1)),
+    "contour_min": ("delta_min", lambda v: contour(DEGENERATE, G, v, 1.0, 3), (-1,)),
+    "contour_max": ("delta_max", lambda v: contour(DEGENERATE, G, 0.0, v, 3), (1,)),
+}
+
+
+@pytest.mark.parametrize("value", PAST_PHASES)
+@pytest.mark.parametrize("name", sorted(PHASE_ENTRY_POINTS))
+def test_phases_from_2_to_the_1023_are_refused(name, value):
+    # numpy's exp(2j*delta) is nan once 2*delta overflows
+    field, entry, signs = PHASE_ENTRY_POINTS[name]
+    for given in (sign * value for sign in signs):
+        with pytest.raises(ValidationError) as exc:
+            entry(given)
+        assert str(exc.value) == "|%s| must be < 2**1023, got %r" % (field, given)
+
+
+def test_the_largest_phase_keeps_every_form_finite():
+    m = ScatteringModel((Resonance(0.0, 1.0),), PHASE_MAX)
+    sigma = [trace(m, G, rep).sigma for rep in (Representation.UNITARY_PRODUCT,
+                                                Representation.POLES_STATIC)]
+    sigma.append(contour(m, G, -PHASE_MAX, PHASE_MAX, 3).sigma)
+    for s in sigma:
+        assert np.isfinite(s).all()
+    for delta in (PHASE_MAX, -PHASE_MAX):
+        assert math.isfinite(abs(s_double_pole(0.0, 1.0, delta, 0.0)))
+        assert np.isfinite(double_pole_fano(0.0, 1.0, delta, G.points())).all()

@@ -227,6 +227,21 @@ def test_dict_numbers_use_the_shared_rule(data, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("data, message", [
+    ([], "model data must be a JSON object, got 'list'"),
+    ("model", "model data must be a JSON object, got 'str'"),
+    ({"resonances": {"position": 0, "width": 1}, "delta": 0},
+     "field 'resonances' must be a list"),
+    ({"resonances": [1], "delta": 0}, "resonance 0 must be an object, got 1"),
+    ({"resonances": [{"position": 0, "width": 1}, [0, 1]], "delta": 0},
+     "resonance 1 must be an object, got [0, 1]"),
+])
+def test_dict_shape_is_checked(data, message):
+    with pytest.raises(ValidationError) as exc:
+        model_from_dict(data)
+    assert str(exc.value) == message
+
+
 def test_file_round_trip(tmp_path):
     m = ScatteringModel((Resonance(0.5, 1.0), Resonance(0.0, 0.1)), delta=0.25)
     path = tmp_path / "model.json"

@@ -72,6 +72,13 @@ def test_trace_double_pole_rep_takes_single_resonance():
         trace(TWO_RES, EnergyGrid(-1.0, 1.0, 11), Representation.DOUBLE_POLE)
 
 
+@pytest.mark.parametrize("rep", ["product", None])
+def test_trace_takes_a_representation_not_its_name(rep):
+    with pytest.raises(ValidationError) as exc:
+        trace(TWO_RES, EnergyGrid(-1.0, 1.0, 11), rep)
+    assert str(exc.value) == "unknown representation %r" % (rep,)
+
+
 def test_trace_propagates_singularity():
     m = ScatteringModel((Resonance(0.0, 1.0), Resonance(0.0, 1.0)))
     with pytest.raises(DoublePoleSingularity):
