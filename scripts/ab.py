@@ -3,6 +3,7 @@
 
     python3 scripts/ab.py --base REV --workload grid_sweep --seeds 101-110
     python3 scripts/ab.py --base REV --workload cli_figures --seeds 1 2 3 --trace 1
+    python3 scripts/ab.py --base REV --calls [NAME ...]
 
 The base revision and the working tree (tracked and staged files as they
 are now, via ``git stash create``; untracked files are left out and named
@@ -30,11 +31,26 @@ The head is named by HEAD's short rev, with ``+wt`` and the ``git stash
 create`` commit when the working tree differs from HEAD.  It exits 1 if a
 run fails its gate, or if the two sides print different ``exact counts
 sha256`` lines for the same seed.
+
+With ``--calls`` it times library calls instead, in this one process: the
+base revision's exported ``src/fanolap`` and the working tree's are loaded
+side by side under two package names, one 32 MB array is freed first (so
+glibc's trim threshold is the one a large-grid run sees), and each call
+must give the same bytes on both sides, else it exits 1.  Then each call
+runs in CALL_ROUNDS alternating rounds, the base first on even rounds; a
+round times enough repetitions to last a few milliseconds.  Per call it
+prints each side's minimum and median, the minimum ratio head/base, the
+median per-round ratio and the rounds the head won.  The calls (CALLS) are
+the ``grid_sweep`` calls of the pole forms, the representation comparison
+and the phase sweep, on the two-resonance model at 64 and 1e6 energies.
 """
 
 import argparse
+import dataclasses
+import importlib.util
 import io
 import json
+import math
 import statistics
 import subprocess
 import sys
@@ -196,13 +212,138 @@ def fmt(x):
     return "%.4g" % x
 
 
+# (label, energies, contour energies x phases) of the two grid sizes
+CALL_SIZES = (("64", 64, (8, 8)), ("1e6", 1_000_000, (2001, 361)))
+CALL_SECONDS = 5e-3  # a round repeats a call for at least this long
+CALL_ROUNDS = 100  # 10 rounds read one 64-point call's minimum ratio as 1.076, 40 as 1.004
+
+
+def call_names(label, cn, cd):
+    return ("s_pole.static." + label, "s_pole.dynamic." + label,
+            "compare_representations." + label, "contour.%dx%d" % (cn, cd))
+
+
+CALLS = tuple(name for label, _, (cn, cd) in CALL_SIZES for name in call_names(label, cn, cd))
+
+
+def load_package(src, name):
+    """The package in the directory ``src``, imported as ``name``: its
+    imports within the package are relative, so two trees load side by side."""
+    spec = importlib.util.spec_from_file_location(
+        name, Path(src) / "__init__.py", submodule_search_locations=[str(src)])
+    pkg = importlib.util.module_from_spec(spec)
+    sys.modules[name] = pkg
+    spec.loader.exec_module(pkg)
+    return pkg
+
+
+def call_list(pkg, sizes=CALL_SIZES):
+    """Name -> zero-argument call of ``pkg`` on the grid_sweep pair (0, 1),
+    (1, 3) at zero phase and energies in [-10, 10], for each of ``sizes``."""
+    m = pkg.ScatteringModel((pkg.Resonance(0.0, 1.0), pkg.Resonance(1.0, 3.0)))
+    rep = pkg.Representation
+    calls = {}
+    for label, n, (cn, cd) in sizes:
+        g, cg = pkg.EnergyGrid(-10.0, 10.0, n), pkg.EnergyGrid(-10.0, 10.0, cn)
+        e = g.points()
+        calls.update(zip(call_names(label, cn, cd), (
+            lambda e=e: pkg.s_pole(m, e, rep.POLES_STATIC),
+            lambda e=e: pkg.s_pole(m, e, rep.POLES_DYNAMIC),
+            lambda g=g: pkg.compare_representations(m, g),
+            lambda cg=cg, cd=cd: pkg.contour(m, cg, 0.0, math.pi, cd))))
+    return calls
+
+
+def as_bytes(x):
+    """The bytes of a call's result: an array's dtype, shape and data, a
+    report's sorted JSON, or each field of a result class in turn."""
+    if isinstance(x, np.ndarray):
+        return repr((x.dtype.str, x.shape)).encode() + x.tobytes()
+    if isinstance(x, dict):
+        return json.dumps(x, sort_keys=True).encode()
+    return b"".join(as_bytes(getattr(x, f.name)) for f in dataclasses.fields(x))
+
+
+def differing(base, head):
+    """Names of the calls whose two sides give different bytes."""
+    return [name for name in base if as_bytes(base[name]()) != as_bytes(head[name]())]
+
+
+def per_call(f, number):
+    """Seconds per call of ``number`` calls of f in a row."""
+    t0 = time.perf_counter()
+    for _ in range(number):
+        f()
+    return (time.perf_counter() - t0) / number
+
+
+def alternate(base, head, rounds):
+    """(base, head) seconds per call over ``rounds`` rounds, the base first
+    on even rounds, each round repeating a call for CALL_SECONDS or more."""
+    number = max(1, math.ceil(CALL_SECONDS / per_call(base, 1)))
+    times = ([], [])
+    for i in range(rounds):
+        for side in ((0, 1) if i % 2 == 0 else (1, 0)):
+            times[side].append(per_call((base, head)[side], number))
+    return times
+
+
+def call_summary(base, head):
+    """Each side's minimum and median, the minimum ratio head/base, the
+    median per-round ratio and the rounds the head won (ties count for neither)."""
+    return {"base_min": min(base), "base_median": statistics.median(base),
+            "head_min": min(head), "head_median": statistics.median(head),
+            "min_ratio": min(head) / min(base),
+            "ratio_median": statistics.median(h / b for b, h in zip(base, head)),
+            "head_won": sum(h < b for b, h in zip(base, head)), "rounds": len(base)}
+
+
+def main_calls(base_rev, names):
+    names = names or list(CALLS)
+    unknown = sorted(set(names) - set(CALLS))
+    if unknown:
+        print("ab: unknown calls %s; known: %s" % (" ".join(unknown), " ".join(CALLS)),
+              file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory(prefix="fanolap-ab-") as tmp:
+        export(git("rev-parse", base_rev), tmp)
+        sides = [call_list(load_package(src, name)) for src, name in (
+            (Path(tmp) / "src" / "fanolap", "fanolap_base"),
+            (ROOT / "src" / "fanolap", "fanolap_head"))]
+        freed = np.ones(4 << 20)  # 32 MB: glibc then keeps grid-sized blocks on its heap
+        del freed
+        base, head = ({n: calls[n] for n in names} for calls in sides)
+        bad = differing(base, head)
+        if bad:
+            print("ab: the two sides give different bytes for %s" % " ".join(bad),
+                  file=sys.stderr)
+            return 1
+        print("# base %s, head the working tree; %d rounds; bytes equal" % (base_rev, CALL_ROUNDS))
+        print("| call | base min | base median | head min | head median "
+              "| min ratio | per-round ratio | head won |")
+        print("|---|---|---|---|---|---|---|---|")
+        for name in names:
+            s = call_summary(*alternate(base[name], head[name], CALL_ROUNDS))
+            print("| %s | %s | %s | %s | %s | %.3f | %.3f | %d/%d |" % (
+                name, *(fmt(1e6 * s[k]) + " us" for k in (
+                    "base_min", "base_median", "head_min", "head_median")),
+                s["min_ratio"], s["ratio_median"], s["head_won"], s["rounds"]), flush=True)
+    return 0
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", required=True, help="git revision of the base side")
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--seeds", required=True, nargs="+", help="seeds, e.g. 1 2 3 or 101-110")
+    parser.add_argument("--workload")
+    parser.add_argument("--seeds", nargs="+", help="seeds, e.g. 1 2 3 or 101-110")
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    parser.add_argument("--calls", nargs="*", metavar="NAME",
+                        help="time library calls in process instead (default: all of CALLS)")
     args = parser.parse_args(argv)
+    if args.calls is not None:
+        return main_calls(args.base, args.calls)
+    if not (args.workload and args.seeds):
+        parser.error("--workload and --seeds are required without --calls")
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     seconds = bench["run_seconds"]

@@ -24,7 +24,7 @@ from .errors import (
     ValidationError,
 )
 from .model import _WEIGHTED_EPS_CAP, _axis, _capped_eps, _eps, _fano_sigma, _ordered_product
-from .model import _require_two_zero_delta, _two_resonances
+from .model import _two_resonances
 from .smatrix import _double_pole_args, _pole_residues
 
 __all__ = [
@@ -162,7 +162,10 @@ def fano_static_params(m):
     A_k = (G_k/G_l)*(q^2 + 1) + 2*(1 - q^2); the partial weights are
     sigma_ak = 4*G_l/((G_k - G_l)*(q^2 + 1)) and sigma_b = 4/(q^2 + 1).
     """
-    r1, r2 = _require_two_zero_delta(m, "fano_static_params")
+    r1, r2 = _two_resonances(m, "fano_static_params")
+    if m.delta != 0.0:
+        raise ValidationError("fano_static_params is defined for zero background phase, "
+                              "got delta=%r" % m.delta)
     _pole_residues(m, "fano_static_params")  # the degenerate-pair guard
     if abs(r1.width - r2.width) < EQUAL_WIDTHS_RTOL * max(r1.width, r2.width):
         raise EqualWidthsSingularity("widths %r and %r are equal within tolerance, "

@@ -176,15 +176,6 @@ def _two_resonances(m, context):
     return m.resonances
 
 
-def _require_two_zero_delta(m, context):
-    """Shared precondition of the two-resonance zero-background forms."""
-    resonances = _two_resonances(m, context)
-    if m.delta != 0.0:
-        raise ValidationError("%s is defined for zero background phase, got delta=%r"
-                              % (context, m.delta))
-    return resonances
-
-
 def model_to_dict(m):
     return {
         "resonances": [{"position": r.position, "width": r.width} for r in m.resonances],

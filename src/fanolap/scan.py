@@ -21,7 +21,6 @@ from .model import (
     EnergyGrid,
     Resonance,
     ScatteringModel,
-    _ordered_product,
     _uniform_points,
     _uniform_rule,
     epsilon,
@@ -30,9 +29,9 @@ from .model import (
 from .smatrix import (
     Representation,
     _double_pole_args,
-    _factors,
     _pole_kernel,
     _product_kernel,
+    _sigma,
     cross_section,
     cross_section_noninteracting,
     s_double_pole,
@@ -185,8 +184,8 @@ class Figure2Result:
 def trace(m, g, rep):
     """Cross section of the model over the grid in the chosen representation.
 
-    The static pole representation takes any model, the dynamic one two
-    resonances at zero delta; the double-pole representation reads a
+    The static pole representation takes any model, the dynamic one any two
+    resonances; the double-pole representation reads a
     one-resonance model as the degenerate pole (the pole counted twice).
     """
     e = g.points()
@@ -216,11 +215,10 @@ def contour(m, g, delta_min, delta_max, n_delta, endpoint=True):
     _cells(n_delta * g.n_points, "n_delta * n_points")
     e = g.points()
     deltas = _uniform_points(delta_min, delta_max, n_delta, endpoint)
-    phases = np.exp(2j * deltas)[:, None]
+    s_of = _product_kernel(m, np.exp(2j * deltas)[:, None])
     # a block of energies makes its factors, then all phase rows of its columns
-    # in at most _BLOCK complex cells, so cross_section never splits a block
-    sigma = _pointwise(lambda x: cross_section(_ordered_product(phases, _factors(m, x))).T,
-                       e, rows=len(m.resonances) + 4 * n_delta)
+    # in at most _BLOCK complex cells, whose cross sections are one _sigma call
+    sigma = _pointwise(lambda x: _sigma(s_of(x)).T, e, rows=len(m.resonances) + 4 * n_delta)
     return _owning(ContourGrid, e, deltas, sigma.T)
 
 
@@ -275,10 +273,10 @@ def figure2(g=None, n_delta=181):
 
 
 def compare_representations(m, g):
-    """Pairwise maximum |S_a - S_b| over the grid for the product, static
-    pole, and dynamic pole forms.  A near-degenerate model makes the static
-    form inapplicable; that is reported in the result, not raised."""
-    forms = [_product_kernel(m),
+    """Pairwise max |S_a - S_b| on the grid for the product, static pole and
+    dynamic pole forms of any two resonances at any delta.  A near-degenerate
+    model makes the static form inapplicable, reported in the result, not raised."""
+    forms = [_product_kernel(m, np.exp(2j * m.delta)),
              _pole_kernel(m, Representation.POLES_DYNAMIC, "compare_representations")]
     names = [("product_vs_poles_dynamic", 0, 1)]  # and the indices of the two forms
     note = None

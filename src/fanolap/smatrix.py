@@ -4,9 +4,9 @@ For real energies every resonant factor has unit modulus, so the product
 form is exactly unimodular and the cross section |1 - S|^2 never exceeds 4.
 The pole expansion S = exp(2i*delta)*(1 - i*sum_k W_k/(E - ce_k)), with ce_k
 the complex pole energies, reproduces the product form exactly when the W_k
-are its residues: these static couplings exist for any model, and the
-energy-dependent (dynamic) ones for two resonances at zero delta.  A
-degenerate (double) pole has its own closed form.
+are its residues: static couplings for any model, dynamic (energy-dependent)
+ones for any two, neither depending on delta, which every form applies once
+as exp(2i*delta).  A degenerate (double) pole has its own closed form.
 """
 
 import enum
@@ -17,8 +17,8 @@ import numpy as np
 
 from ._util import _phase, _pointwise, _real, _width
 from .errors import DoublePoleSingularity, ValidationError
-from .model import _axis, _capped_eps, _fano_sigma, _ordered_product
-from .model import _require_two_zero_delta, complex_energy
+from .model import _axis, _capped_eps, _fano_sigma, _ordered_product, _two_resonances
+from .model import complex_energy
 
 __all__ = [
     "Representation",
@@ -59,12 +59,11 @@ def s_unitary_product(m, energy):
 
     Exactly unimodular for real E and any number of resonances.
     """
-    return _pointwise(_product_kernel(m), energy, rows=len(m.resonances))
+    return _pointwise(_product_kernel(m, np.exp(2j * m.delta)), energy, rows=len(m.resonances))
 
 
-def _product_kernel(m):
-    """The per-energy kernel of s_unitary_product."""
-    phase = np.exp(2j * m.delta)
+def _product_kernel(m, phase):
+    """Kernel of the product form: ``phase``, a scalar or a column, times the factors."""
     return lambda e: _ordered_product(phase, _factors(m, e.clip(-_E_CAP, _E_CAP)))
 
 
@@ -98,9 +97,9 @@ def _pole_residues(m, context):
 
 
 def coupling_w_static(m):
-    """Energy-independent couplings of two resonances at zero delta, the pole
-    residues W_k = G_k*(1 - i*G_l/(ce_k - ce_l)) of the product form."""
-    _require_two_zero_delta(m, "coupling_w_static")
+    """Energy-independent couplings of two resonances, the pole residues
+    W_k = G_k*(1 - i*G_l/(ce_k - ce_l)) of the product form; independent of delta."""
+    _two_resonances(m, "coupling_w_static")
     return CouplingPair(*_pole_residues(m, "coupling_w_static")[:, 0].tolist())
 
 
@@ -116,8 +115,8 @@ def coupling_w_dynamic(m, energy):
 
     Smooth in E and finite for any pole separation, including a degenerate
     pair; the denominator keeps a positive imaginary part on the real axis.
-    """
-    ce1, ce2 = map(complex_energy, _require_two_zero_delta(m, "coupling_w_dynamic"))
+    Independent of delta, like the static couplings."""
+    ce1, ce2 = map(complex_energy, _two_resonances(m, "coupling_w_dynamic"))
     w = _w_dynamic_raw(_axis(m)[1], _axis(m)[4][::-1], ce1, ce2, _real(energy, "energy"))
     return CouplingPair(*w[:, 0].tolist())
 
@@ -125,8 +124,8 @@ def coupling_w_dynamic(m, energy):
 def s_pole(m, energy, rep):
     """S(E) = exp(2i*delta)*(1 - i*sum_k W_k/(E - ce_k)) with the couplings
     ``rep`` selects: POLES_STATIC the pole residues, for any model;
-    POLES_DYNAMIC the W_k(E) of two resonances at zero delta.  Both evaluate
-    to the unitary product form up to rounding."""
+    POLES_DYNAMIC the W_k(E), for any two resonances.  Both evaluate to the
+    unitary product form up to rounding, at any delta."""
     if rep not in (Representation.POLES_STATIC, Representation.POLES_DYNAMIC):
         raise ValidationError("s_pole supports the pole representations, got %r" % (rep,))
     return _pointwise(_pole_kernel(m, rep, "s_pole"), energy, rows=len(m.resonances))
@@ -134,20 +133,22 @@ def s_pole(m, energy, rep):
 
 def _pole_kernel(m, rep, context):
     """The per-energy kernel of s_pole: W_k/(E - ce_k) as row k, rows added in
-    order into the first; static W_k are a column times exp(2i*delta), and
-    dynamic ones, past the guard naming ``context``, two rows per block."""
-    (_, g, _, ce, ig), col, phase = _axis(m), None, 1.0
-    if rep is Representation.POLES_STATIC:
-        col = _pole_residues(m, "coupling_w_static")
-        if m.delta:  # else W_k as they are: a product with 1 + 0j may flip a zero's sign
-            phase = np.exp(2j * m.delta)
-            col = col * phase
+    order into the first.  The column ``col`` is the static W_k, or the G_k of
+    the dynamic ones, whose energy factor comes two rows per block; guards
+    name ``context``.  exp(2i*delta) multiplies that column once per model."""
+    (_, col, _, ce, ig), phase = _axis(m), 1.0
+    static = rep is Representation.POLES_STATIC
+    if static:
+        col = _pole_residues(m, context)
     else:
-        ce1, ce2 = map(complex_energy, _require_two_zero_delta(m, context))
+        ce1, ce2 = map(complex_energy, _two_resonances(m, context))
+    if m.delta:  # else W_k as they are: a product with 1 + 0j may flip a zero's sign
+        phase = np.exp(2j * m.delta)
+        col = col * phase
 
     def kernel(e):
         t = e - ce
-        np.divide(col if col is not None else _w_dynamic_raw(g, ig[::-1], ce1, ce2, e), t, t)
+        np.divide(col if static else _w_dynamic_raw(col, ig[::-1], ce1, ce2, e), t, t)
         z = t[0]
         for l in range(1, len(t)):
             z += t[l]
@@ -181,7 +182,12 @@ def s_double_pole(e_d, gamma_d, delta, energy):
 def cross_section(s):
     """sigma = |1 - S|^2 in units of the maximal single-channel value,
     one block of S at a time, so no grid-sized 1 - S is built."""
-    return _pointwise(lambda x: np.square(np.abs(1.0 - x)), s, dtype=None)
+    return _pointwise(_sigma, s, dtype=None)
+
+
+def _sigma(s):
+    """The kernel of cross_section: |1 - S|^2 of one block."""
+    return np.square(np.abs(1.0 - s))
 
 
 def cross_section_noninteracting(m, energy):

@@ -4,9 +4,10 @@ Every float input is taken as the exact rational it stores, so a reference
 is exact in the inputs, and an evaluator's deviation from it is that
 evaluator's own rounding.  At delta = 0 the non-interacting cross section
 sum_k 4/(eps_k^2 + 1) and the product-form S are rational in the inputs.
-At delta != 0 the float cos and sin of delta are taken as exact inputs,
-which measures every step after the phase.  A complex value is a pair
-(re, im) of Fractions.
+At delta != 0 the float phase the evaluators use, exp(1j*delta) for the
+cross section and exp(2j*delta) for S, is taken as an exact input, which
+measures every step after the phase.  A complex value is a pair (re, im)
+of Fractions.
 """
 
 import math
@@ -30,11 +31,11 @@ def noninteracting(m, e):
 
 
 def product_s(m, e):
-    """prod_k (e - conj(ce_k))/(e - ce_k) at the float e, exactly, for a model
-    at delta = 0: with x = e - position_k and h = width_k/2, factor k is
-    (x - ih)/(x + ih) = (x^2 - h^2 - 2ixh)/(x^2 + h^2)."""
-    assert m.delta == 0.0
-    re, im = Fraction(1), Fraction(0)
+    """exp(2i*delta)*prod_k (e - conj(ce_k))/(e - ce_k) at the float e,
+    exactly, with the float exp(2j*delta) as the phase: with x = e - position_k
+    and h = width_k/2, factor k is (x - ih)/(x + ih) = (x^2 - h^2 - 2ixh)/(x^2 + h^2)."""
+    z = np.exp(2j * m.delta)
+    re, im = Fraction(float(z.real)), Fraction(float(z.imag))
     for r in m.resonances:
         x = Fraction(e) - Fraction(r.position)
         h = Fraction(r.width) / 2

@@ -1,9 +1,13 @@
-"""The A/B runner's seed lists, pair flags, win counts and claim rule.
+"""The A/B runner's seed lists, pair flags, win counts and claim rule, and
+its in-process call mode: two trees loaded apart, bytes compared per call,
+rounds alternated and wins counted.
 
 scripts/ab.py is a script, not part of the package, so it is loaded by path.
 """
 
 import importlib.util
+import shutil
+import sys
 from pathlib import Path
 
 import pytest
@@ -112,3 +116,51 @@ def test_probe_takes_the_fastest_of_its_loops(monkeypatch):
 def test_probe_times_a_fixed_loop():
     fastest, spread = ab.probe()
     assert 0.0 < fastest < 10.0 and spread >= 0.0
+
+
+_SIGMA = "return np.square(np.abs(1.0 - s))"
+
+
+def test_loader_keeps_two_trees_apart(tmp_path):
+    # the second tree's cross section is one ulp up, which only the contour
+    # call passes through; each package runs its own modules
+    src = Path(ab.ROOT) / "src" / "fanolap"
+    trees = [shutil.copytree(src, tmp_path / side / "fanolap") for side in ("a", "b")]
+    smatrix = trees[1] / "smatrix.py"
+    text = smatrix.read_text(encoding="utf-8")
+    assert text.count(_SIGMA) == 1
+    smatrix.write_text(text.replace(_SIGMA, "return np.nextafter(np.square(np.abs(1.0 - s)), "
+                                            "np.inf)"), encoding="utf-8")
+    names = ("fanolap_ab_test_a", "fanolap_ab_test_b")
+    try:
+        pkgs = [ab.load_package(tree, name) for tree, name in zip(trees, names)]
+        assert pkgs[0].contour.__module__ == names[0] + ".scan"
+        assert pkgs[1].contour.__module__ == names[1] + ".scan"
+        small = ab.CALL_SIZES[:1]
+        calls = [ab.call_list(pkg, small) for pkg in pkgs]
+        assert list(calls[0]) == list(ab.CALLS[:4])
+        assert ab.differing(calls[0], calls[1]) == ["contour.8x8"]
+        assert ab.differing(calls[0], ab.call_list(pkgs[0], small)) == []
+    finally:
+        for name in list(sys.modules):
+            if name.startswith(names):
+                del sys.modules[name]
+
+
+def test_call_summary_counts_wins_on_faked_timings():
+    base = [1.0, 2.0, 3.0, 4.0]
+    head = [0.9, 2.0, 3.3, 3.0]  # won, tied, lost, won
+    s = ab.call_summary(base, head)
+    assert (s["head_won"], s["rounds"]) == (2, 4)
+    assert s["min_ratio"] == pytest.approx(0.9)
+    assert s["ratio_median"] == pytest.approx(0.95)  # of 0.9, 1.0, 1.1 and 0.75
+    assert (s["base_min"], s["base_median"]) == (1.0, 2.5)
+    assert (s["head_min"], s["head_median"]) == (0.9, 2.5)
+
+
+def test_rounds_alternate_which_side_goes_first(monkeypatch):
+    ran = []
+    monkeypatch.setattr(ab, "CALL_SECONDS", 0.0)  # one call per round
+    base, head = ab.alternate(lambda: ran.append("b"), lambda: ran.append("h"), 3)
+    assert ran == ["b", "b", "h", "h", "b", "b", "h"]  # the first call sizes the rounds
+    assert len(base) == len(head) == 3 and min(base + head) > 0.0

@@ -72,6 +72,8 @@ MODELS = {
     "sep": ScatteringModel((Resonance(0.0, 1.0), Resonance(5.0, 1.2))),
     # coincident poles: the static pole form is inapplicable
     "deg": ScatteringModel((Resonance(0.0, 1.0), Resonance(0.0, 1.0))),
+    # "two" at a nonzero background phase, for the dynamic pole form and compare
+    "two_tilted": ScatteringModel((Resonance(0.0, 1.0), Resonance(1.0, 3.0)), 0.7),
 }
 
 GRID = ["--emin", "-3", "--emax", "4", "--n", "41"]
@@ -88,6 +90,8 @@ CASES = {
                            "--out", "{out}/t.csv"],
     "trace_dynamic": ["trace", "--model", "{m:two}", *GRID, "--repr", "poles-dynamic",
                       "--out", "{out}/t.csv"],
+    "trace_dynamic_tilted": ["trace", "--model", "{m:two_tilted}", *GRID, "--repr",
+                             "poles-dynamic", "--out", "{out}/t.csv"],
     "trace_double": ["trace", "--model", "{m:one}", *GRID, "--repr", "double-pole",
                      "--out", "{out}/t.csv"],
     "qscan": ["qscan", "--model", "{m:three}", "--k", "1", *GRID, "--out", "{out}/q.csv"],
@@ -103,6 +107,7 @@ CASES = {
              "--out", "{out}"],
     "fit": ["fit", "--data", "{data}", "--out", "{out}/f.json"],
     "compare": ["compare", "--model", "{m:two}", *GRID, "--out", "{out}/r.json"],
+    "compare_tilted": ["compare", "--model", "{m:two_tilted}", *GRID, "--out", "{out}/r.json"],
     "compare_degenerate": ["compare", "--model", "{m:deg}", *GRID, "--out", "{out}/r.json"],
     "trace_large": ["trace", "--model", "{m:three}", "--emin", "-6", "--emax", "6",
                     "--n", "100003", "--repr", "product", "--out", "{out}/t.csv"],
@@ -123,9 +128,10 @@ CASES = {
 
 GOLDEN = {
     "compare:r.json": "e8a22ac8ba7b2043cb479b4639f6243d41014fc817bf0da23a59a45a8cfa385f",
-    "compare_degenerate:r.json": "2203f110e29e12666d5261ada896798bc294bf04dddd39f5df98e34e94ddab63",
+    "compare_tilted:r.json": "0df11bffa4cf7c5383116b7a737c339a8d1d080e121d12c564eca984d95634c1",
+    "compare_degenerate:r.json": "1ccadb200515c96c93deebb967daf0aca2563997515084d3036cb73554bc9303",
     "compare_large:r.json": "8230aaca7e04557890a2033b608143bc63197fdadcff8a6a186171efbda6497c",
-    "compare_degenerate_large:r.json": "13c92b42c0838c6ab11231066541af511f4202c581fdf7cd177c129d42a25975",
+    "compare_degenerate_large:r.json": "f5b470c9ac9e469fafd7b566b5b447e192abc5b081c5df2a3897060b9674c2f5",
     "contour:c.csv": "12c3b00a3549c59ba414814dc9017970736711ddcd9c67d3fbf5d50deb8421b2",
     "contour_large:c.csv": "43a38466695fc5b0e11657b06b49414fa05bc260f73c0333f566cc1a25baad4b",
     "fig2_default:fig2_contour.csv": "2673c14b6acf018a605efd98a5de29f4288d14bb97c8ba99ce827af5fad07b19",
@@ -173,6 +179,7 @@ GOLDEN = {
     "qscan_inf:q.csv": "88d24dd3ef49a8ffe5d4648a5cea86fbb4fe8292e711dec6856e7a13dab476fc",
     "trace_double:t.csv": "6efed7e17d8671a05e9f10793b781b603bac953c2310ff72b78892f4a13cf52a",
     "trace_dynamic:t.csv": "b0184205b16fd119d8a08a7fbabdedc26b7f622c874dce83e1642f51b31344d0",
+    "trace_dynamic_tilted:t.csv": "45b216f7d9019561d9f6cc4c04d50f3e078b8103d08a1b889caf54f5e1d00be6",
     "trace_large:t.csv": "3e6617d1156371f13b326faa37b616b5f3819e5f0c274f6ab91fd10e7139df25",
     "trace_product:t.csv": "a6755b8c036b9b742cc6f5ddeaf85b50ea6bf0be18a2c263abc284a1efda35c0",
     "trace_static:t.csv": "b25ed185839230e58b0c668f9bd366a7fa067bb161cf2e5e8bb2322f3595d5d3",

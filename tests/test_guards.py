@@ -77,13 +77,35 @@ def test_double_pole_entry_points_reject_bad_width(name, gamma_d):
     assert str(exc.value) == "gamma_d must be finite and > 0, got %r" % gamma_d
 
 
-@pytest.mark.parametrize("entry", [coupling_w_static, fano_static_params])
-def test_static_forms_reject_degenerate_pair(entry):
+STATIC_ENTRY_POINTS = {
+    "coupling_w_static": coupling_w_static,
+    "fano_static_params": fano_static_params,
+    "s_pole": lambda m: s_pole(m, 0.0, Representation.POLES_STATIC),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STATIC_ENTRY_POINTS))
+def test_static_forms_reject_degenerate_pair(name):
+    # each names itself, not the function that holds the guard
     with pytest.raises(DoublePoleSingularity) as exc:
-        entry(DEGENERATE)
+        STATIC_ENTRY_POINTS[name](DEGENERATE)
     assert str(exc.value) == (
-        "%s: pole separation 0.0 is below tolerance, couplings diverge" % entry.__name__
+        "%s: pole separation 0.0 is below tolerance, couplings diverge" % name
     )
+
+
+def test_static_params_alone_refuse_a_background_phase():
+    # their parametrization is defined at delta = 0; every other two-resonance
+    # entry point, the pole forms, both couplings and compare among them,
+    # takes any delta
+    tilted = ScatteringModel(THREE_RES.resonances[:2], 0.1)
+    with pytest.raises(ValidationError) as exc:
+        fano_static_params(tilted)
+    assert str(exc.value) == ("fano_static_params is defined for zero background phase, "
+                              "got delta=0.1")
+    for name, entry in TWO_RESONANCE_ENTRY_POINTS.items():
+        if name != "fano_static_params":
+            entry(tilted)
 
 
 E = np.linspace(-3.0, 3.0, 41)

@@ -1,8 +1,9 @@
 """Package layout checks: one public namespace, one file writer, one
 scalar validator, one per-energy evaluation, one home and one caller of
 threads, one trace CSV header, one home of the pole residues and of the pole
-sum, one rule and sampler of uniform axes, one formula of q~'s zero and
-pole, and no power-of-two squares for the whole of ``src/fanolap``."""
+sum, one zero-phase refusal, one product-form kernel, one rule and sampler
+of uniform axes, one formula of q~'s zero and pole, and no power-of-two
+squares for the whole of ``src/fanolap``."""
 
 import ast
 import importlib
@@ -274,25 +275,38 @@ def _calls(name):
     return lambda node: isinstance(node, ast.Call) and getattr(node.func, "id", None) == name
 
 
+def _zero_phase_message(node):
+    return (isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and "zero background phase" in node.value)
+
+
 def test_one_residue_core_and_one_pole_kernel():
     # smatrix._pole_residues is the one place that raises for coalescing
     # poles, for every caller; the pole sum is written once, in the kernel
     # that serves s_pole and compare_representations with either coupling
-    # choice; and the two-resonance zero-delta guard keeps to the forms the
-    # paper gives only for two resonances
-    raises, sums, kernels, guards = [], set(), set(), []
+    # choice; every pole form and compare take any delta, so only
+    # fano_static_params, whose parametrization is defined at delta = 0,
+    # refuses a background phase; and the product form's factors are taken
+    # in one kernel, which contour calls with a column of phases
+    raises, sums, kernels, zero_phase, factors, defs = [], set(), set(), [], [], set()
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         raises += [(path.name, top) for top in _top_level_uses(
             tree, _raises("DoublePoleSingularity"))]
         sums |= {(path.name, top) for top in _top_level_uses(tree, _pole_sum)}
         kernels |= {(path.name, top) for top in _top_level_uses(tree, _calls("_pole_kernel"))}
-        guards += [(path.name, top) for top in _top_level_uses(
-            tree, _calls("_require_two_zero_delta"))]
+        zero_phase += [(path.name, top) for top in _top_level_uses(tree, _zero_phase_message)]
+        factors += [(path.name, top) for top in _top_level_uses(tree, _calls("_factors"))]
+        defs |= {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
     assert raises == [("smatrix.py", "_pole_residues")]
     assert sums == {("smatrix.py", "_pole_kernel")}
     assert kernels == {("smatrix.py", "s_pole"), ("scan.py", "compare_representations")}
-    assert len(guards) <= 4, guards
+    assert zero_phase == [("fano.py", "fano_static_params")]
+    assert "_require_two_zero_delta" not in defs
+    assert factors == [("smatrix.py", "_product_kernel")]
+    scan = ast.parse((SRC / "scan.py").read_text(encoding="utf-8"))
+    imported = {a.name for n in ast.walk(scan) if isinstance(n, ast.ImportFrom) for a in n.names}
+    assert not imported & {"_ordered_product", "_factors"}
 
 
 _ORDER_RULE = re.compile(r"must be <.*>=")

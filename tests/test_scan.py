@@ -16,6 +16,7 @@ from fanolap import (
     ScatteringModel,
     TraceMeta,
     ValidationError,
+    breit_wigner_energy,
     compare_representations,
     contour,
     cross_section,
@@ -27,6 +28,7 @@ from fanolap import (
     resonance_phase,
     s_unitary_product,
     trace,
+    window_energy,
     write_contour_csv,
     write_trace_csv,
 )
@@ -195,6 +197,19 @@ def test_contour_shape_and_rows():
         assert np.max(np.abs(row - ref.sigma)) < 1e-14
 
 
+@pytest.mark.parametrize("lo, hi", [(1e299, 5e300), (-8e307, 8e307), (-1e301, -1e300)])
+def test_contour_rows_are_the_product_trace_bit_for_bit_past_the_clip(lo, hi):
+    # contour goes through the product form's kernel, energy clip included:
+    # past +-1e300 its unclipped factors once gave sigma 4.9e-32 where the
+    # product form gives 0
+    g = EnergyGrid(lo, hi, 7)
+    for m in (TWO_RES, figure2_model(0.3)):
+        cg = contour(m, g, 0.0, math.pi, 5)
+        for d, row in zip(cg.deltas, cg.sigma):
+            ref = trace(ScatteringModel(m.resonances, d), g, Representation.UNITARY_PRODUCT)
+            assert row.tobytes() == ref.sigma.tobytes()
+
+
 def test_contour_periodicity_in_delta():
     g = EnergyGrid(-1.0, 1.5, 201)
     cg = contour(figure2_model(0.0), g, 0.0, math.pi, 9)
@@ -316,6 +331,17 @@ def test_figure2_delta0_values():
     result = figure2()
     assert result.window.delta0 == pytest.approx(math.pi / 4, abs=1e-15)
     assert result.breit_wigner.delta0 == pytest.approx(3 * math.pi / 4, abs=1e-15)
+
+
+def test_figure2_phases_put_the_landmarks_on_the_narrow_resonance():
+    # figure2 derives its two phases by hand; fano's landmark formulas, the
+    # inverse condition, must place q~'s zero and pole back at the narrow
+    # resonance (position 0) to rounding, in units of the broad width G_2 = 1
+    result = figure2(EnergyGrid(-1.0, 1.5, 11), 3)
+    g2 = figure2_model(0.0).resonances[1].width
+    for landmark, variant in ((window_energy, result.window),
+                              (breit_wigner_energy, result.breit_wigner)):
+        assert abs(landmark(figure2_model(variant.delta0))) <= 4 * 2.0 ** -52 * g2
 
 
 def _extremum_energy(tr, sign):
