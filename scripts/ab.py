@@ -42,7 +42,11 @@ round times enough repetitions to last a few milliseconds.  Per call it
 prints each side's minimum and median, the minimum ratio head/base, the
 median per-round ratio and the rounds the head won.  The calls (CALLS) are
 the ``grid_sweep`` calls of the pole forms, the representation comparison
-and the phase sweep, on the two-resonance model at 64 and 1e6 energies.
+and the phase sweep on the two-resonance model, and of the product form
+on two and twelve resonances, at 64 and 1e6 energies; and the
+``fit_roundtrip`` calls at 201 and 1e4 rows: ``fit_fano`` on each of its
+three profile families, and ``read_trace_csv`` and ``format_trace_csv`` of
+the noisy one, its CSV written to a temporary directory by each side.
 """
 
 import argparse
@@ -220,10 +224,22 @@ CALL_ROUNDS = 100  # 10 rounds read one 64-point call's minimum ratio as 1.076, 
 
 def call_names(label, cn, cd):
     return ("s_pole.static." + label, "s_pole.dynamic." + label,
-            "compare_representations." + label, "contour.%dx%d" % (cn, cd))
+            "compare_representations." + label, "contour.%dx%d" % (cn, cd),
+            "s_unitary_product.n2." + label, "s_unitary_product.n12." + label)
 
 
-CALLS = tuple(name for label, _, (cn, cd) in CALL_SIZES for name in call_names(label, cn, cd))
+# (label, rows) of the fit_roundtrip traces, and their profile families
+FIT_ROWS = (("201", 201), ("1e4", 10_000))
+FIT_FAMILIES = ("noisy_fano", "two_res_misfit", "narrow_on_broad")
+
+
+def fit_names(label):
+    return tuple("fit_fano.%s.%s" % (family, label) for family in FIT_FAMILIES) + (
+        "read_trace_csv." + label, "format_trace_csv." + label)
+
+
+CALLS = (tuple(name for label, _, (cn, cd) in CALL_SIZES for name in call_names(label, cn, cd))
+         + tuple(name for label, _ in FIT_ROWS for name in fit_names(label)))
 
 
 def load_package(src, name):
@@ -239,8 +255,11 @@ def load_package(src, name):
 
 def call_list(pkg, sizes=CALL_SIZES):
     """Name -> zero-argument call of ``pkg`` on the grid_sweep pair (0, 1),
-    (1, 3) at zero phase and energies in [-10, 10], for each of ``sizes``."""
+    (1, 3) at zero phase, and of the product form on twelve resonances too,
+    at energies in [-10, 10], for each of ``sizes``."""
     m = pkg.ScatteringModel((pkg.Resonance(0.0, 1.0), pkg.Resonance(1.0, 3.0)))
+    m12 = pkg.ScatteringModel(tuple(pkg.Resonance(p, w) for p, w in zip(
+        np.linspace(-8.0, 8.0, 12).tolist(), np.linspace(0.2, 3.0, 12).tolist())), 1.1)
     rep = pkg.Representation
     calls = {}
     for label, n, (cn, cd) in sizes:
@@ -250,18 +269,47 @@ def call_list(pkg, sizes=CALL_SIZES):
             lambda e=e: pkg.s_pole(m, e, rep.POLES_STATIC),
             lambda e=e: pkg.s_pole(m, e, rep.POLES_DYNAMIC),
             lambda g=g: pkg.compare_representations(m, g),
-            lambda cg=cg, cd=cd: pkg.contour(m, cg, 0.0, math.pi, cd))))
+            lambda cg=cg, cd=cd: pkg.contour(m, cg, 0.0, math.pi, cd),
+            lambda e=e: pkg.s_unitary_product(m, e),
+            lambda e=e: pkg.s_unitary_product(m12, e))))
+    return calls
+
+
+def fit_call_list(pkg, tmp, rows=FIT_ROWS):
+    """Name -> zero-argument call of ``pkg`` on the fit_roundtrip traces
+    (seed 0) for each of ``rows``; the noisy trace's CSV is written under
+    ``tmp`` by ``pkg`` itself."""
+    rng = np.random.default_rng(0)
+    truth = pkg.FanoProfileModel(q=2.0, e0=0.0, gamma=1.0, amplitude=1.0, offset=0.1)
+    pair = pkg.ScatteringModel((pkg.Resonance(0.0, 1.0), pkg.Resonance(1.0, 3.0)))
+    product = pkg.Representation.UNITARY_PRODUCT
+    calls = {}
+    for label, n in rows:
+        e = np.linspace(-5.0, 5.0, n)
+        traces = (
+            pkg.CrossSectionTrace(e, pkg.predict(truth, e) + rng.normal(0.0, 0.005, n),
+                                  pkg.TraceMeta("noisy_fano")),
+            pkg.trace(pair, pkg.EnergyGrid(-5.0, 5.0, n), product),
+            pkg.trace(pkg.figure2_model(0.7), pkg.EnergyGrid(-1.0, 1.5, n), product))
+        path = Path(tmp) / ("%s.%s.csv" % (pkg.__name__, label))
+        path.write_text(pkg.format_trace_csv(traces[0]), encoding="utf-8")
+        calls.update(zip(fit_names(label), [lambda tr=tr: pkg.fit_fano(tr) for tr in traces] + [
+            lambda path=path: pkg.read_trace_csv(path),
+            lambda tr=traces[0]: pkg.format_trace_csv(tr)]))
     return calls
 
 
 def as_bytes(x):
     """The bytes of a call's result: an array's dtype, shape and data, a
-    report's sorted JSON, or each field of a result class in turn."""
+    report's sorted JSON, each field of a result class in turn, or the repr
+    of anything else (a float's repr round-trips it)."""
     if isinstance(x, np.ndarray):
         return repr((x.dtype.str, x.shape)).encode() + x.tobytes()
     if isinstance(x, dict):
         return json.dumps(x, sort_keys=True).encode()
-    return b"".join(as_bytes(getattr(x, f.name)) for f in dataclasses.fields(x))
+    if dataclasses.is_dataclass(x):
+        return b"".join(as_bytes(getattr(x, f.name)) for f in dataclasses.fields(x))
+    return repr(x).encode()
 
 
 def differing(base, head):
@@ -307,9 +355,11 @@ def main_calls(base_rev, names):
         return 2
     with tempfile.TemporaryDirectory(prefix="fanolap-ab-") as tmp:
         export(git("rev-parse", base_rev), tmp)
-        sides = [call_list(load_package(src, name)) for src, name in (
-            (Path(tmp) / "src" / "fanolap", "fanolap_base"),
-            (ROOT / "src" / "fanolap", "fanolap_head"))]
+        sides = []
+        for src, name in ((Path(tmp) / "src" / "fanolap", "fanolap_base"),
+                          (ROOT / "src" / "fanolap", "fanolap_head")):
+            pkg = load_package(src, name)
+            sides.append({**call_list(pkg), **fit_call_list(pkg, tmp)})
         freed = np.ones(4 << 20)  # 32 MB: glibc then keeps grid-sized blocks on its heap
         del freed
         base, head = ({n: calls[n] for n in names} for calls in sides)

@@ -124,17 +124,19 @@ _WEIGHTED_EPS_CAP = 1e100
 
 
 def _capped_eps(e, position, width, cap=_EPS_CAP):
-    """_eps clipped to +-cap, nan kept, without np.clip's costly checks."""
-    return _eps(e, position, width).clip(-cap, cap)
+    """_eps clipped to +-cap, nan kept, without np.clip's costly checks; an
+    eps that overflows to +-inf, past 9e307 from the position, takes the cap
+    without a warning."""
+    with np.errstate(over="ignore"):
+        return _eps(e, position, width).clip(-cap, cap)
 
 
 def _axis(m, skip=None):
-    """Positions, widths, conjugate and plain pole energies and i*widths of the
-    resonances but ``skip`` (one must remain), (N, 1) columns made once per model."""
+    """Positions, widths, pole energies and i*widths of the resonances but
+    ``skip`` (one must remain), (N, 1) columns made once per model."""
     axes = m.__dict__.setdefault("_axes", {})
     if skip not in axes:
-        rows = [(r.position, r.width, complex_energy(r).conjugate(), complex_energy(r),
-                 1j * r.width)
+        rows = [(r.position, r.width, complex_energy(r), 1j * r.width)
                 for i, r in enumerate(m.resonances) if i != skip]
         axes[skip] = [np.array(col).reshape(-1, 1) for col in zip(*rows)]
     return axes[skip]

@@ -11,6 +11,7 @@ as exp(2i*delta).  A degenerate (double) pole has its own closed form.
 
 import enum
 import itertools
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,35 +64,62 @@ def s_unitary_product(m, energy):
 
 
 def _product_kernel(m, phase):
-    """Kernel of the product form: ``phase``, a scalar or a column, times the factors."""
-    return lambda e: _ordered_product(phase, _factors(m, e.clip(-_E_CAP, _E_CAP)))
+    """Kernel of the product form: ``phase``, a scalar or a column, times the
+    factors of the rows E - ce_k, E clipped to the model's energy bounds."""
+    lo, hi, ce = _energy_bounds(m)
+    return lambda e: _ordered_product(phase, _factors(e.clip(lo, hi) - ce))
 
 
-# at +-inf a factor is inf/inf; at this clip it is 1 within width/1e300, so S
-# takes its limit exp(2i*delta), and energies below it keep their bits
+# at +-inf a factor is inf/inf; _E_CAP from its pole it is 1 within width/1e300,
+# so S takes its limit exp(2i*delta), and energies nearer a pole keep their bits
 _E_CAP = 1e300
 
 
-def _factors(m, e):
-    """Row k: (e - conj(ce_k))/(e - ce_k), over the numerator's exact conjugate."""
-    f = e - _axis(m)[2]
-    f /= f.conjugate()
-    return f
+def _energy_bounds(m):
+    """(lo, hi, ce): the bounds the product form clips energies to, and the
+    pole column, made once per model.  The bounds lie _E_CAP past the outer
+    positions, within the float range, so every energy within _E_CAP of a
+    pole keeps its value; where the positions spread wider than _E_CAP they
+    are (N, 1) columns about each, so no row E - ce_k overflows."""
+    axes = m.__dict__.setdefault("_axes", {})
+    if "bounds" not in axes:
+        pos = [r.position for r in m.resonances]
+        lo = [max(p - _E_CAP, -sys.float_info.max) for p in pos]
+        hi = [min(p + _E_CAP, sys.float_info.max) for p in pos]
+        if max(pos) - min(pos) <= _E_CAP:  # one pair of floats, the cheaper clip
+            lo, hi = min(lo), max(hi)
+        else:
+            lo, hi = np.array(lo).reshape(-1, 1), np.array(hi).reshape(-1, 1)
+        axes["bounds"] = lo, hi, _axis(m)[2]
+    return axes["bounds"]
+
+
+def _factors(t):
+    """Row k: conj(t_k)/t_k of the rows t_k = E - ce_k, in place of t; for real
+    E, conj(t_k) is E - conj(ce_k) exactly, so each is the quotient
+    (E - conj(ce_k))/(E - ce_k).  Written into t, made before the conjugate:
+    into the conjugate instead, 1e6-energy calls ran up to 1.7 times slower
+    in some heap states."""
+    return np.divide(t.conjugate(), t, out=t)
 
 
 def _pole_residues(m, context):
     """Residues W_k = G_k*prod_{l!=k}(1 - i*G_l/(ce_k - ce_l)) of the product
     form, factors in order l = 0, 1, ..., as an (N, 1) column made once per
-    model; two poles within DOUBLE_POLE_RTOL, where they diverge, raise each call."""
+    model; two poles within DOUBLE_POLE_RTOL, where they diverge, or residues
+    that overflow, raise each call."""
     axes = m.__dict__.setdefault("_axes", {})
     if "w" not in axes:
         g, ce = [r.width for r in m.resonances], [complex_energy(r) for r in m.resonances]
-        w = list(g)
+        w, fault = list(g), None
         for k, l in itertools.permutations(range(len(g)), 2):
             if abs(ce[k] - ce[l]) < DOUBLE_POLE_RTOL * max(g[k], g[l]):
-                raise DoublePoleSingularity("%s: pole separation %r is below tolerance, "
-                                            "couplings diverge" % (context, abs(ce[k] - ce[l])))
+                fault = "pole separation %r is below tolerance" % abs(ce[k] - ce[l])
+                break
             w[k] *= 1.0 - 1j * g[l] / (ce[k] - ce[l])
+        if fault or not np.isfinite(w).all():
+            raise DoublePoleSingularity("%s: %s, couplings diverge"
+                                        % (context, fault or "pole residues overflow"))
         axes["w"] = np.array(w, complex).reshape(-1, 1)
     return axes["w"]
 
@@ -103,21 +131,24 @@ def coupling_w_static(m):
     return CouplingPair(*_pole_residues(m, "coupling_w_static")[:, 0].tolist())
 
 
-def _w_dynamic_raw(g, ig_other, ce1, ce2, e):
-    """Rows W_k(E) = g_k*(1 - i*g_l/(2E - ce1 - ce2)) of the (2, 1) columns
-    g and ig_other = i*g_l, made in one array: 1 - x and g*x in place."""
-    w = ig_other / (2.0 * e - ce1 - ce2)
+def _w_dynamic_raw(g, ig_other, t):
+    """Rows W_k(E) = g_k*(1 - i*g_l/(t_1 + t_2)) of the (2, 1) columns g and
+    ig_other = i*g_l, from the rows t_k = E - ce_k that the pole terms divide
+    by, made in one array: 1 - x and g*x in place."""
+    w = ig_other / (t[0] + t[1])
     return np.multiply(g, np.subtract(1.0, w, out=w), out=w)
 
 
 def coupling_w_dynamic(m, energy):
-    """Energy-dependent couplings W_k(E) = G_k*(1 - i*G_l/(2E - ce_k - ce_l)).
+    """Energy-dependent couplings W_k(E) = G_k*(1 - i*G_l/(t_1 + t_2)), with
+    t_k = E - ce_k the rows the pole terms divide by.
 
     Smooth in E and finite for any pole separation, including a degenerate
     pair; the denominator keeps a positive imaginary part on the real axis.
     Independent of delta, like the static couplings."""
-    ce1, ce2 = map(complex_energy, _two_resonances(m, "coupling_w_dynamic"))
-    w = _w_dynamic_raw(_axis(m)[1], _axis(m)[4][::-1], ce1, ce2, _real(energy, "energy"))
+    _two_resonances(m, "coupling_w_dynamic")
+    _, g, ce, ig = _axis(m)
+    w = _w_dynamic_raw(g, ig[::-1], _real(energy, "energy") - ce)
     return CouplingPair(*w[:, 0].tolist())
 
 
@@ -136,19 +167,19 @@ def _pole_kernel(m, rep, context):
     order into the first.  The column ``col`` is the static W_k, or the G_k of
     the dynamic ones, whose energy factor comes two rows per block; guards
     name ``context``.  exp(2i*delta) multiplies that column once per model."""
-    (_, col, _, ce, ig), phase = _axis(m), 1.0
+    (_, col, ce, ig), phase = _axis(m), 1.0
     static = rep is Representation.POLES_STATIC
     if static:
         col = _pole_residues(m, context)
     else:
-        ce1, ce2 = map(complex_energy, _two_resonances(m, context))
+        _two_resonances(m, context)
     if m.delta:  # else W_k as they are: a product with 1 + 0j may flip a zero's sign
         phase = np.exp(2j * m.delta)
         col = col * phase
 
     def kernel(e):
         t = e - ce
-        np.divide(col if static else _w_dynamic_raw(col, ig[::-1], ce1, ce2, e), t, t)
+        np.divide(col if static else _w_dynamic_raw(col, ig[::-1], t), t, t)
         z = t[0]
         for l in range(1, len(t)):
             z += t[l]

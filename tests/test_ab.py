@@ -138,13 +138,39 @@ def test_loader_keeps_two_trees_apart(tmp_path):
         assert pkgs[1].contour.__module__ == names[1] + ".scan"
         small = ab.CALL_SIZES[:1]
         calls = [ab.call_list(pkg, small) for pkg in pkgs]
-        assert list(calls[0]) == list(ab.CALLS[:4])
+        assert list(calls[0]) == list(ab.CALLS[:6])
         assert ab.differing(calls[0], calls[1]) == ["contour.8x8"]
         assert ab.differing(calls[0], ab.call_list(pkgs[0], small)) == []
     finally:
         for name in list(sys.modules):
             if name.startswith(names):
                 del sys.modules[name]
+
+
+def test_every_call_name_resolves(tmp_path):
+    # the grid_sweep calls at both sizes and the fit_roundtrip calls at both
+    # row counts, each name once, on this tree's package, with the
+    # 64-energy and 201-row calls run; the last of them writes its own CSV
+    name = "fanolap_ab_test_names"
+    try:
+        pkg = ab.load_package(Path(ab.ROOT) / "src" / "fanolap", name)
+        calls = {**ab.call_list(pkg), **ab.fit_call_list(pkg, tmp_path)}
+        assert sorted(calls) == sorted(ab.CALLS) and len(set(ab.CALLS)) == len(ab.CALLS)
+        assert {"s_unitary_product.n2.64", "s_unitary_product.n12.1e6",
+                "fit_fano.narrow_on_broad.1e4", "read_trace_csv.201",
+                "format_trace_csv.1e4"} <= set(calls)
+        small = [n for n in calls if n.endswith((".64", ".201")) or n == "contour.8x8"]
+        assert ab.differing({n: calls[n] for n in small}, {n: calls[n] for n in small}) == []
+    finally:
+        for module in list(sys.modules):
+            if module.startswith(name):
+                del sys.modules[module]
+
+
+def test_unknown_call_names_exit_2(capsys):
+    assert ab.main_calls("HEAD", ["s_pole.static.64", "no_such_call"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ab: unknown calls no_such_call; known: ") and "fit_fano.noisy_fano.201" in err
 
 
 def test_call_summary_counts_wins_on_faked_timings():

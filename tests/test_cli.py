@@ -405,6 +405,56 @@ def test_axis_span_past_the_float_range_is_validation_error(tmp_path, model_file
     assert not out.exists()
 
 
+def test_qscan_past_9e307_gives_the_limit_without_a_warning(tmp_path, model_file, capsys):
+    # eps = 2*(E - position)/width overflows before its clip, which takes it
+    out = tmp_path / "q.csv"
+    argv = ["qscan", "--model", model_file, "--emin", "5e307", "--emax", "1e308", "--n", "3"]
+    assert run(argv + ["--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert [float(q) for _, q in rows] == [fano_q_dynamic(TWO_RES, 0, math.inf)] * 3
+
+
+def test_compare_sees_a_pair_past_the_energy_clip(tmp_path, capsys):
+    # the product form clips energies to within 1e300 of a position, not of
+    # zero, so it agrees with both pole forms about a pair placed past 1e300
+    path, out = tmp_path / "far.json", tmp_path / "r.json"
+    save_model(ScatteringModel((Resonance(2e300, 5e299), Resonance(2.5e300, 1e300)), 0.4), path)
+    argv = ["compare", "--model", str(path), "--emin", "1e300", "--emax", "3e300", "--n", "41"]
+    assert run(argv + ["--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    pairs = json.loads(out.read_text())["pairs"]
+    assert len(pairs) == 3 and all(p["max_abs_dev"] < 1e-14 for p in pairs.values())
+
+
+def _strict_json(text):
+    def refuse(name):
+        raise ValueError("not JSON: %s" % name)
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_overflowing_residues_make_the_static_form_inapplicable(tmp_path, capsys):
+    # widths 5e307 with poles 1e300 apart: the static residues overflow, so
+    # compare reports the static form inapplicable, as for a degenerate pair,
+    # and writes JSON without NaN; the static trace exits 1 with one line
+    path, out = tmp_path / "wide.json", tmp_path / "r.json"
+    save_model(ScatteringModel((Resonance(-1e-300, 5e307), Resonance(-1e300, 5e307)),
+                               math.pi / 2), path)
+    grid = ["--model", str(path), "--emin", "-1", "--emax", "1", "--n", "5"]
+    assert run(["compare"] + grid + ["--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    report = _strict_json(out.read_text())
+    assert report["poles_static_applicable"] is False
+    assert report["poles_static_note"] == ("compare_representations: pole residues overflow, "
+                                           "couplings diverge")
+    assert list(report["pairs"]) == ["product_vs_poles_dynamic"]
+    trace_out = tmp_path / "t.csv"
+    assert run(["trace"] + grid + ["--repr", "poles-static", "--out", str(trace_out)]) == 1
+    assert capsys.readouterr().err == ("DoublePoleSingularity: s_pole: pole residues overflow, "
+                                       "couplings diverge\n")
+    assert not trace_out.exists()
+
+
 def test_fit_malformed_data(tmp_path, capsys):
     data = tmp_path / "data.csv"
     data.write_text("wrong,header\n0,1\n")

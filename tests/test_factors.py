@@ -3,15 +3,15 @@
 `fano._interfering_phase` makes one unit factor (eps - i)/sqrt(eps^2 + 1)
 per other resonance, as rows of one array, from a real reciprocal;
 `smatrix._factors` makes each quotient (e - conj(ce))/(e - ce) as a row,
-divided by its exact conjugate in place; `model._ordered_product` takes the
-rows in order l = 0, 1, ...; `cross_section_noninteracting` sums one row
-per resonance; and the static pole form `s_pole` divides one residue row per
-resonance and adds the rows in order.  Each must give the bits of the
-written-out per-resonance expressions below on every grid size, including
-the one-element grid (where numpy's complex multiply takes another path,
-and a sum over an (N, 1) array is pairwise), a grid whose last block holds
-one energy, and the sizes around a block, for reduced energies from 1e-8 to
-1e8 and at the +-1e150 clip.
+conj(t)/t of the row t = e - ce divided in place; `model._ordered_product`
+takes the rows in order l = 0, 1, ...; `cross_section_noninteracting` sums
+one row per resonance; and the static pole form `s_pole` divides one
+residue row per resonance and adds the rows in order.  Each must give the
+bits of the written-out per-resonance expressions below on every grid
+size, including the one-element grid (where numpy's complex multiply takes
+another path, and a sum over an (N, 1) array is pairwise), a grid whose
+last block holds one energy, and the sizes around a block, for reduced
+energies from 1e-8 to 1e8 and at the +-1e150 clip.
 """
 
 import math
@@ -146,18 +146,23 @@ def test_interfering_phase_has_the_bits_of_the_complex_division(n, size):
             assert _same_bits(c, c_ref) and _same_bits(s, s_ref), (n, size, k)
 
 
+def _rows(m, e):
+    """The rows e - ce_k of the poles of m."""
+    return e - np.array([complex_energy(r) for r in m.resonances])[:, None]
+
+
 @pytest.mark.parametrize("n, size", _cases())
 def test_resonant_factors_have_the_bits_of_the_quotient(n, size):
     rng = np.random.default_rng(2000 * n + size)
     m = _model(rng, n)
     e = _energies(rng, m, size)
-    got = _factors(m, e)
+    got = _factors(_rows(m, e))
     assert got.shape == (n, size)
     for r, f in zip(m.resonances, got):
         ce = complex_energy(r)
         assert _same_bits(f, (e - ce.conjugate()) / (e - ce)), (n, size, r)
     if size > 1:
-        s = _ordered_product(np.exp(2j * m.delta), _factors(m, e.clip(-1e300, 1e300)))
+        s = _ordered_product(np.exp(2j * m.delta), _factors(_rows(m, e.clip(-1e300, 1e300))))
         assert _same_bits(s, _product_reference(m, e)), (n, size)
 
 
@@ -253,7 +258,7 @@ def test_nan_energy_gives_a_nan_factor():
             assert not (np.isnan(c[::2]).any() or np.isnan(s[::2]).any())
         # the complex division of a nan reports an invalid value, as it always has
         with np.errstate(invalid="ignore"):
-            f = _factors(m, e)
+            f = _factors(_rows(m, e))
         assert f.shape == (n, 3)
         assert np.isnan(f[:, 1].real).all() and np.isnan(f[:, 1].imag).all()
         assert not np.isnan(f[:, ::2]).any()
@@ -265,12 +270,50 @@ FAR = ScatteringModel((Resonance(0.0, 1.0), Resonance(0.0, 1e-10)), delta=0.3)
 
 @pytest.mark.parametrize("energy", [1e301, math.inf, -math.inf])
 def test_product_form_at_far_energies_gives_the_background(energy):
-    # each factor is inf/inf at +-inf; the energies are clipped to +-1e300,
-    # so S is exp(2i delta) and sigma 4 sin^2(delta), with no warning
+    # each factor is inf/inf at +-inf; the energies are clipped to 1e300 past
+    # the outer positions, so S is exp(2i delta) and sigma 4 sin^2(delta),
+    # with no warning
     s = s_unitary_product(FAR, energy)
     assert s == pytest.approx(np.exp(0.6j), rel=1e-15)
     assert cross_section(s) == pytest.approx(4.0 * math.sin(0.3) ** 2, rel=1e-15)
     assert s == s_unitary_product(FAR, 1e300)
+
+
+# a resonance past +-1e300, where a clip of E rather than of E - E_k hid it,
+# alone, beside one near zero, and with positions spread over the float range
+PAST_CLIP = (ScatteringModel((Resonance(2e300, 1.0),)),
+             ScatteringModel((Resonance(2e300, 1.0), Resonance(-3.0, 0.5)), 0.4),
+             ScatteringModel((Resonance(-1e308, 2.0), Resonance(0.0, 1.0),
+                              Resonance(1e308, 1.0)), 0.3))
+TOP = 1.7976931348623157e308  # the largest float
+
+
+@pytest.mark.parametrize("m", PAST_CLIP, ids=["alone", "beside", "spread"])
+def test_product_form_sees_a_resonance_past_the_energy_clip(m):
+    # every energy within 1e300 of a position keeps its value, so S is
+    # -exp(2i delta) at each pole's position, times factors of 1 from poles
+    # far away, and no row E - ce_k overflows at any energy
+    phase = np.exp(2j * m.delta)
+    for r in m.resonances:
+        others = [x for x in m.resonances if x is not r]
+        near = [x for x in others if abs(x.position - r.position) < 1e3]
+        s = s_unitary_product(m, r.position)
+        expected = -phase * math.prod((r.position - complex_energy(x).conjugate())
+                                      / (r.position - complex_energy(x)) for x in near)
+        assert s == pytest.approx(expected, abs=1e-15)
+        if len(m.resonances) < 3:  # E - ce_k of the pole forms overflows on the spread model
+            static = s_pole(m, r.position, Representation.POLES_STATIC)
+            assert s == pytest.approx(static, abs=1e-15)
+    for energy in (math.inf, -math.inf, TOP, -TOP):
+        assert s_unitary_product(m, energy) == pytest.approx(phase, abs=1e-15)
+
+
+def test_an_infinite_energy_is_read_as_the_largest_float():
+    # so it lies on a pole placed there, as the largest float does
+    m = ScatteringModel((Resonance(-3.0, 1.0), Resonance(TOP, 1.0)), 0.3)
+    assert s_unitary_product(m, math.inf) == s_unitary_product(m, TOP)
+    assert s_unitary_product(m, TOP) == pytest.approx(-np.exp(0.6j), abs=1e-15)
+    assert s_unitary_product(m, -math.inf) == pytest.approx(np.exp(0.6j), abs=1e-15)
 
 
 def test_trace_and_contour_past_the_energy_clip():

@@ -298,12 +298,12 @@ LARGE_GOLDEN = {
     "predict": "b379296cda0d2df3c9e0e79b80c64a50708fc9073679953662100becd20a9bf8",
     "resonance_phase": "62ec36a791ef85141abd0ee0d9d2f1dc11f8a6ed8b8d8deff680b3aa41c980b2",
     "s_double_pole": "d0fc54a5b5a1d48d697e8591299beaa37012a5538d5f6e1f615ae3a9f6994444",
-    "s_pole_dynamic": "f8391855bd08ceb9def07498ea3131444ec9fa97763b863107825a77b20fa14a",
+    "s_pole_dynamic": "661d250439c1eafee7db7d1f3b05c9803758f2c5142bd36ff6215d6c8056056b",
     "s_pole_static": "f5478115b88048682478a52bb3ae434a4ffbaea4c689e8dcad9315ee781f9beb",
     "s_unitary_product": "fe33e246b71a8272cbe9c2e3658c97855e94c17ff94290581e26adb16c252f3f",
     "s_unitary_product_12": "177e3858914338bd3d2a7413884a17ffb0fd3b004aa62e9f3abea3a98fb73626",
     "trace_double_pole": "79482f7404bf93da04d95aaabd7d719a6e2346cf247917cfac177a4b7da8d59b",
-    "trace_poles_dynamic": "86d790c6e2aaeea90a5e711d430dbf1899bb25e1df3202dc74bd5fc8def8e77b",
+    "trace_poles_dynamic": "8d6e39a2732278b77f6198c9fe349b8f5b8ebee05420b2bacca2abaa5c36d1ee",
     "trace_poles_static": "b9fb929a3075735a4d819303233fece0c9259b76ac9699a806de2ec5cdc08cec",
     "trace_product": "b4c2b0b73535b2c7fbcad1d03b8d97e91746fa0248d8ba53efc37a6bf9223b1b",
 }
@@ -328,12 +328,12 @@ SEAM_GOLDEN = {
     "predict": "c94e307e7113f15fb44b14a782a4969365509ade57db0e10d2e391ea9838aab0",
     "resonance_phase": "93ad8238f96a026eeba7cbaa8bc0a9571434c8183986329564a4e4c6a36ece35",
     "s_double_pole": "d5ca0a1618c5bce317f66951a6a2944ee9878f994a2d9d34012ff2f3005d6d30",
-    "s_pole_dynamic": "344d36012104ed0cf09459b68e2b5f4d853a25099eabdadf587c25017306f368",
+    "s_pole_dynamic": "3eac997b2336bfb1c6e733e93f30b5467dbc3d0d333f69eaca181efa1fdad731",
     "s_pole_static": "eeb0b2f5895fdeccce659be0785e720636b64ac1521e437b7eae4b4696951acb",
     "s_unitary_product": "4ab42900c5019b205f7f238401262e5d2cca2c13713111d406c3091c55ab2bf5",
     "s_unitary_product_12": "3b6d28dd1b10502258a2ba16ea3a652ba4cd5cd7e77bf8920c9e2ac6ac5f7280",
     "trace_double_pole": "0ee4045c89d3bbbceaae09a9d962cfe57912733ae1c30083a802b5918df569a5",
-    "trace_poles_dynamic": "a8a0f2f47de2a2fc75c3a3773173290d40a70ba824d7589645b044e0debfe475",
+    "trace_poles_dynamic": "330b5c6e308e72f036ee2168e248630a5719936714c0719ca4e6db312f021757",
     "trace_poles_static": "456b4e18224976f5cf7b969c5383616589c46153f04c658f270bec782083034c",
     "trace_product": "63ea9938d914501ef9ce7b21b198708046598b8e3f2390d773b6300ab149b32b",
 }

@@ -1,9 +1,9 @@
 """Package layout checks: one public namespace, one file writer, one
 scalar validator, one per-energy evaluation, one home and one caller of
 threads, one trace CSV header, one home of the pole residues and of the pole
-sum, one zero-phase refusal, one product-form kernel, one rule and sampler
-of uniform axes, one formula of q~'s zero and pole, and no power-of-two
-squares for the whole of ``src/fanolap``."""
+sum, one zero-phase refusal, one product-form kernel, one set of pole rows,
+one rule and sampler of uniform axes, one formula of q~'s zero and pole,
+and no power-of-two squares for the whole of ``src/fanolap``."""
 
 import ast
 import importlib
@@ -307,6 +307,24 @@ def test_one_residue_core_and_one_pole_kernel():
     scan = ast.parse((SRC / "scan.py").read_text(encoding="utf-8"))
     imported = {a.name for n in ast.walk(scan) if isinstance(n, ast.ImportFrom) for a in n.names}
     assert not imported & {"_ordered_product", "_factors"}
+
+
+def test_one_set_of_pole_rows():
+    # every pole form divides by the rows t_k = E - ce_k: the product factors
+    # are conj(t_k)/t_k and the dynamic couplings' denominator is t_1 + t_2,
+    # so smatrix rounds no second denominator from E, and model._axis keeps
+    # no column of conjugate poles
+    from fanolap.model import _axis
+
+    text = (SRC / "smatrix.py").read_text(encoding="utf-8")
+    assert not [gone for gone in ("2.0 * e", "ce1", "ce2") if gone in text]
+    raw = next(node for node in ast.parse(text).body
+               if isinstance(node, ast.FunctionDef) and node.name == "_w_dynamic_raw")
+    assert [a.arg for a in raw.args.args] == ["g", "ig_other", "t"]
+    m = fanolap.ScatteringModel((fanolap.Resonance(0.0, 1.0), fanolap.Resonance(1.0, 3.0)))
+    columns = _axis(m)
+    assert len(columns) == 4
+    assert columns[2][:, 0].tolist() == [fanolap.complex_energy(r) for r in m.resonances]
 
 
 _ORDER_RULE = re.compile(r"must be <.*>=")

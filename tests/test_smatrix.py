@@ -290,6 +290,30 @@ def test_pole_static_error_against_the_exact_product():
         assert 0.0 < worst["dynamic", tilted] <= 8.0
 
 
+def test_pole_dynamic_error_near_coalescence_away_from_zero():
+    # 1000 seeded pairs whose poles nearly coalesce: positions in [-5, 5],
+    # widths 10**-2.5 to 1, the second pole 10**-3 to 10**0.5 widths from the
+    # first, at delta = 0 or a delta drawn from [-3, 3], on and beside each
+    # pole and between them, against exact rationals.  The couplings'
+    # denominator, once rounded from 2E rather than from the rows E - ce_k,
+    # erred here by up to 114 eps; measured max 5.4 eps (over seeds 0 to 2
+    # and 26: 4.5 to 5.4)
+    rng = np.random.default_rng(1)
+    worst = 0.0
+    for _ in range(1000):
+        p1, w1 = rng.uniform(-5.0, 5.0), 10.0 ** rng.uniform(-2.5, 0.0)
+        d, angle = w1 * 10.0 ** rng.uniform(-3.0, 0.5), rng.uniform(0.0, 2.0 * math.pi)
+        pair = (Resonance(p1, w1),
+                Resonance(p1 + d * math.cos(angle), max(w1 + d * math.sin(angle), 0.1 * w1)))
+        m = ScatteringModel(pair, rng.choice([0.0, rng.uniform(-3.0, 3.0)]))
+        pos = np.array([r.position for r in pair])
+        half = 0.5 * np.array([r.width for r in pair])
+        e = np.concatenate([pos, pos - half, pos + half / 2, [pos.mean()]])
+        worst = max(worst, oracle.complex_error_in_eps(
+            s_pole(m, e, Representation.POLES_DYNAMIC), e, lambda x: oracle.product_s(m, x)))
+    assert worst <= 8.0
+
+
 def _bits(pair):
     return np.array([pair.w1, pair.w2]).view(np.uint64).tolist()
 
@@ -299,25 +323,17 @@ def _bits(pair):
 def test_pole_dynamic_is_the_product_form_at_any_delta(data):
     # exp(2i*delta) multiplies each form once, so the dynamic pole form is the
     # product form at every delta the model takes, and neither coupling kind
-    # depends on delta.  The energy factor's denominator d = 2E - ce_1 - ce_2
-    # is rounded from E, not from the E - ce_k the terms divide by, so where
-    # the poles nearly coalesce away from E = 0 its relative error grows as
-    # |2E - ce_1|/|d|; c(E) = (1 + |2E - ce_1|/|d|)*sum_k G_1*G_2/(|E - ce_k|*|d|)
-    # carries that, and is below 1 unless the poles are within a few widths
-    # of each other and of E.  Measured over 40000 seeded models, a quarter
-    # of them near coalescence, at delta = 0 as at any other: at most
-    # 5.0 eps*(1 + c(E)), and 161 eps without the factor
+    # depends on delta.  The couplings' denominator t_1 + t_2 comes from the
+    # rows t_k = E - ce_k the terms divide by, so no factor for coalescing
+    # poles is needed: measured over 20000 seeded models, a quarter of them
+    # near coalescence, at delta = 0 and up to 1e6, at most 8.2 eps
     m = ScatteringModel(
         tuple(Resonance(data.draw(st.floats(-5, 5)), data.draw(st.floats(1e-3, 10)))
               for _ in range(2)),
         data.draw(st.floats(-2.0 ** 1023, 2.0 ** 1023, exclude_min=True, exclude_max=True)))
     e = np.concatenate([GRID, [r.position for r in m.resonances]])
-    ce = np.array([complex_energy(r) for r in m.resonances])[:, None]
-    d = 2.0 * e - ce[0] - ce[1]
-    g12 = m.resonances[0].width * m.resonances[1].width
-    c = (1.0 + np.abs(2.0 * e - ce[0]) / np.abs(d)) * (g12 / np.abs((e - ce) * d)).sum(axis=0)
     dev = np.abs(s_pole(m, e, Representation.POLES_DYNAMIC) - s_unitary_product(m, e))
-    assert np.all(dev <= 16 * EPS * (1.0 + c))
+    assert np.all(dev <= 16 * EPS)
 
     flat = ScatteringModel(m.resonances)
     for x in (e[0], m.resonances[0].position, data.draw(st.floats(-10, 10))):
